@@ -27,18 +27,25 @@ def _as_array(
     space: ResourceSpace,
     values: "Mapping[str, float] | Iterable[float] | np.ndarray",
 ) -> np.ndarray:
-    """Convert mapping / sequence input into a dense float array."""
-    if isinstance(values, Mapping):
+    """Convert mapping / sequence input into a fresh dense float array.
+
+    Arrays are tested first: internal arithmetic passes them, and the
+    ``Mapping`` ABC check is far slower than an exact type check.
+    """
+    if isinstance(values, np.ndarray):
+        array = np.array(values, dtype=float)
+    elif isinstance(values, Mapping):
         array = np.zeros(space.dimension, dtype=float)
         for name, value in values.items():
             array[space.index(name)] = float(value)
         return array
-    array = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
+    else:
+        array = np.asarray(list(values), dtype=float)
     if array.shape != (space.dimension,):
         raise ValueError(
             f"expected {space.dimension} values, got shape {array.shape}"
         )
-    return array.copy()
+    return array
 
 
 class _BoundVector:
@@ -52,11 +59,11 @@ class _BoundVector:
         values: "Mapping[str, float] | Iterable[float] | np.ndarray",
     ) -> None:
         array = _as_array(space, values)
-        if not np.all(np.isfinite(array)):
+        self._space = space
+        if not np.isfinite(array).all():
             raise ValueError("vector components must be finite")
         self._validate(array)
         array.setflags(write=False)
-        self._space = space
         self._values = array
 
     # Subclasses override to enforce sign constraints.
@@ -127,21 +134,13 @@ class UsageVector(_BoundVector):
     """
 
     def _validate(self, array: np.ndarray) -> None:
-        if np.any(array < 0):
+        if (array < 0).any():
             bad = [
                 name
-                for name, value in zip(self._space_names_hint(array), array)
+                for name, value in zip(self._space.names, array)
                 if value < 0
             ]
             raise ValueError(f"usage components must be >= 0 (bad: {bad})")
-
-    def _space_names_hint(self, array: np.ndarray) -> tuple[str, ...]:
-        # ``_space`` is not yet assigned while validating in __init__;
-        # fall back to positional labels.
-        space = getattr(self, "_space", None)
-        if space is not None:
-            return space.names
-        return tuple(f"dim{i}" for i in range(len(array)))
 
     # ------------------------------------------------------------------
     def dot(self, cost: "CostVector") -> float:
@@ -200,7 +199,7 @@ class CostVector(_BoundVector):
     """
 
     def _validate(self, array: np.ndarray) -> None:
-        if np.any(array <= 0):
+        if (array <= 0).any():
             raise ValueError("cost components must be > 0")
 
     # ------------------------------------------------------------------

@@ -7,12 +7,16 @@ One enumerator serves two modes:
   every ``optimize(C)`` call, mirroring how the paper re-ran the DB2
   optimizer at every sampled cost vector.
 * **Parametric mode** (:class:`ParetoPruner`) — per-subproblem sets of
-  vector-wise undominated plans.  Componentwise domination is sound for
-  any positive cost vector under the additive cost model, so the root's
-  Pareto set contains every plan that can be optimal anywhere in the
-  positive orthant; LP filtering (:mod:`repro.core.candidates`) then
-  yields the *exact* candidate optimal plan set.  This is the white-box
-  ground truth the paper could not extract from DB2.
+  vector-wise undominated plans; LP filtering
+  (:mod:`repro.core.candidates`) of the root set then yields the
+  candidate optimal plan set, the white-box counterpart of what the
+  paper extracted from DB2 by probing.  Componentwise domination
+  between plans with the same output order is sound for any positive
+  cost vector under the additive cost model.  The pruner also lets an
+  *unordered* plan prune an *ordered* one, which is not: the ordered
+  plan may still win higher up by saving a sort.  So a root set,
+  even an untruncated one, can miss plans that are optimal somewhere
+  (see :class:`ParetoPruner`).
 
 The plan space: left-linear join trees over connected subgraphs, with
 table scans / index range scans / index-only scans as access paths,
@@ -21,11 +25,12 @@ nested loops for buffer-pool-resident inners, hash joins with either
 side as build, and sort-merge joins with sort enforcers and interesting
 orders.  GROUP BY and ORDER BY add aggregation/sort at the root.
 
-Pruning soundness relies on two standard properties: plan cost is the
-sum of child costs plus operator-local usage (so a componentwise-
-dominated subplan cannot become part of a strictly better full plan),
-and order-sensitive futures are protected by only pruning a plan
-against plans with the same — or no — required order.
+Pruning relies on plan cost being the sum of child costs plus
+operator-local usage, so a componentwise-dominated subplan cannot
+become part of a strictly better full plan.  The order rule the
+parametric pruner applies: a kept plan prunes a newcomer when it has
+the newcomer's order or none, and a newcomer evicts a kept plan when
+it has the kept plan's order or none.
 """
 
 from __future__ import annotations
@@ -108,12 +113,23 @@ class ScalarPruner:
 
 
 class ParetoPruner:
-    """Keep vector-wise undominated plans, respecting orders.
+    """Keep vector-wise undominated plans, under the order rule below.
 
-    Plan *a* prunes plan *b* when ``a.usage <= b.usage`` componentwise
-    (with ``tol`` slack) and *a*'s order can substitute for *b*'s (same
-    order, or *b* requires none).  Componentwise-equal plans keep the
-    first seen (deduplication).
+    Plan *a* prunes plan *b* when ``a.usage <= b.usage + tol``
+    componentwise and *a* is unordered or has *b*'s order.  The rule
+    applies both ways as plans arrive: a newcomer is dropped when a
+    kept plan prunes it, and otherwise evicts every kept plan it
+    prunes.  Componentwise-equal plans keep the first seen
+    (deduplication).
+
+    The rule lets an unordered plan prune an ordered one.  That is
+    not sound: the ordered plan can still win later by saving a sort
+    or enabling a merge join, so root sets can miss plans that are
+    optimal somewhere (``tests/optimizer/test_dp.py`` pins a witness).
+
+    Kept plans live in a stacked row matrix with small-int order ids
+    (0 for no order), so each newcomer is decided by two broadcasts
+    over all kept rows rather than one comparison per kept plan.
 
     ``cell_cap`` bounds per-cell set sizes; on overflow the cheapest
     plans under ``center`` survive and :attr:`truncated` is set, so
@@ -136,32 +152,50 @@ class ParetoPruner:
         self.truncated = False
 
     def prune(self, plans: list[CostedPlan]) -> list[CostedPlan]:
-        kept: list[CostedPlan] = []
-        for plan in plans:
+        if not plans:
+            return []
+        tol = self._tol
+        order_ids: dict[tuple[str, str] | None, int] = {None: 0}
+        size = len(plans)
+        # Slots [0, count) hold the kept plans in arrival order: their
+        # index into ``plans``, order id, usage row and row + tol.
+        kept = np.empty(size, dtype=np.intp)
+        orders = np.empty(size, dtype=np.intp)
+        rows = np.empty((size, plans[0].usage.space.dimension))
+        uppers = np.empty_like(rows)
+        count = 0
+        for position, plan in enumerate(plans):
             values = plan.usage.values
-            dominated = False
-            for other in kept:
-                if other.order is not None and other.order != plan.order:
+            upper = values + tol
+            order = order_ids.setdefault(plan.order, len(order_ids))
+            if count:
+                kept_orders = orders[:count]
+                # Kept plans that prune the newcomer.
+                pruning = (rows[:count] <= upper).all(axis=1)
+                pruning &= (kept_orders == 0) | (kept_orders == order)
+                if pruning.any():
                     continue
-                if np.all(other.usage.values <= values + self._tol):
-                    dominated = True
-                    break
-            if dominated:
-                continue
-            kept = [
-                other
-                for other in kept
-                if not (
-                    (plan.order is None or plan.order == other.order)
-                    and np.all(values <= other.usage.values + self._tol)
-                )
-            ]
-            kept.append(plan)
-        if self._cap is not None and len(kept) > self._cap:
+                # Kept plans the newcomer prunes.
+                evicted = (values <= uppers[:count]).all(axis=1)
+                if order:
+                    evicted &= kept_orders == order
+                if evicted.any():
+                    survive = ~evicted
+                    new_count = int(survive.sum())
+                    for array in (kept, orders, rows, uppers):
+                        array[:new_count] = array[:count][survive]
+                    count = new_count
+            kept[count] = position
+            orders[count] = order
+            rows[count] = values
+            uppers[count] = upper
+            count += 1
+        result = [plans[i] for i in kept[:count]]
+        if self._cap is not None and count > self._cap:
             self.truncated = True
-            kept.sort(key=lambda p: p.usage.dot(self._center))
-            kept = kept[: self._cap]
-        return kept
+            result.sort(key=lambda p: p.usage.dot(self._center))
+            result = result[: self._cap]
+        return result
 
 
 class PlanEnumerator:
@@ -691,10 +725,11 @@ def enumerate_root_plans(
 ) -> tuple[list[CostedPlan], bool]:
     """Parametric enumeration: the root Pareto set of plans.
 
-    Returns ``(plans, truncated)``.  With ``truncated`` False the list
-    provably contains every plan that can be optimal for ANY positive
-    cost vector; LP-filter it against a feasible region to obtain the
-    exact candidate optimal set (see
+    Returns ``(plans, truncated)``.  ``truncated`` is True when a cell
+    hit ``cell_cap``.  Even untruncated, the list holds only what the
+    pruner's order rule keeps, which can miss plans optimal somewhere
+    (see :class:`ParetoPruner`).  LP-filter it against a feasible
+    region to obtain the candidate optimal set (see
     :func:`repro.optimizer.parametric.candidate_plans`).
     """
     center = layout.center_costs()

@@ -1,12 +1,14 @@
-"""Exact candidate-optimal plan sets (white-box parametric optimization).
+"""Candidate-optimal plan sets (white-box parametric optimization).
 
 The paper had to *reverse-engineer* candidate plans and usage vectors
 through DB2's narrow interface (Sections 6.1.1 and 6.2.1).  Our
-optimizer is white-box, so the candidate set can be computed exactly:
+optimizer is white-box, so the candidate set is computed directly:
 
 1. run the parametric DP (:func:`repro.optimizer.dp.enumerate_root_plans`)
-   to get the root Pareto set — a superset of every possibly-optimal
-   plan for any positive cost vector;
+   to get the root Pareto set.  It holds every plan the DP's pruning
+   rule keeps; that rule lets an unordered subplan prune an ordered
+   one, so the set can miss plans that are optimal somewhere (see
+   :class:`repro.optimizer.dp.ParetoPruner`);
 2. LP-filter that set against the experiment's feasible cost region
    (:func:`repro.core.candidates.candidate_optimal_indices`).
 

@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from ..core.feasible import VariationGroup
 from ..core.resources import Resource, ResourceSpace
 from ..core.vectors import CostVector, UsageVector
@@ -187,6 +189,7 @@ class StorageLayout:
         self._split = bool(split_seek_transfer)
         self._cpu_cost = float(cpu_cost)
         self._space = self._build_space()
+        self._slots = self._build_slots()
 
     # ------------------------------------------------------------------
     # Construction of the resource space
@@ -215,6 +218,28 @@ class StorageLayout:
             else:
                 resources.append(Resource(device.name, kind, subject))
         return ResourceSpace(tuple(resources))
+
+    def _build_slots(self) -> dict[ObjectKey, tuple]:
+        """Per placed object group, where :meth:`to_usage` adds its I/O.
+
+        Split: ``(seek index, xfer index)``.  Locked: ``(index, d_s,
+        d_t)`` of the device's one dimension and base parameters.
+        """
+        slots: dict[ObjectKey, tuple] = {}
+        for key in self._placement:
+            device = self.device_of(key)
+            if self._split:
+                slots[key] = (
+                    self._space.index(f"{device.name}.seek"),
+                    self._space.index(f"{device.name}.xfer"),
+                )
+            else:
+                slots[key] = (
+                    self._space.index(device.name),
+                    device.seek_cost,
+                    device.transfer_cost,
+                )
+        return slots
 
     # ------------------------------------------------------------------
     # Accessors
@@ -268,20 +293,24 @@ class StorageLayout:
         return CostVector(self._space, values)
 
     def to_usage(self, account: IOAccount) -> UsageVector:
-        """Convert an abstract I/O account into a usage vector."""
-        values: dict[str, float] = {"cpu": account.cpu_instructions}
+        """Convert an abstract I/O account into a usage vector.
+
+        Components accumulate in the account's own order, so equal
+        accounts give bit-identical vectors.
+        """
+        values = np.zeros(self._space.dimension)
+        values[self._space.index("cpu")] = account.cpu_instructions
         for key, (seeks, pages) in account.io.items():
-            device = self.device_of(key)
+            slot = self._slots.get(key)
+            if slot is None:
+                self.device_of(key)  # raises the "no placement" KeyError
             if self._split:
-                seek_dim = f"{device.name}.seek"
-                xfer_dim = f"{device.name}.xfer"
-                values[seek_dim] = values.get(seek_dim, 0.0) + seeks
-                values[xfer_dim] = values.get(xfer_dim, 0.0) + pages
+                seek_index, xfer_index = slot
+                values[seek_index] += seeks
+                values[xfer_index] += pages
             else:
-                locked = (
-                    seeks * device.seek_cost + pages * device.transfer_cost
-                )
-                values[device.name] = values.get(device.name, 0.0) + locked
+                index, seek_cost, transfer_cost = slot
+                values[index] += seeks * seek_cost + pages * transfer_cost
         return UsageVector(self._space, values)
 
     def variation_groups(

@@ -31,6 +31,12 @@ def test_negative_usage_rejected():
         UsageVector(SPACE, [1.0, -0.5, 0.0])
 
 
+def test_negative_usage_error_names_the_resource():
+    space = ResourceSpace.from_names(["cpu", "disk.seek", "disk.xfer"])
+    with pytest.raises(ValueError, match=r"bad: \['disk.seek'\]"):
+        UsageVector(space, [1, -2, 3])
+
+
 def test_nonfinite_rejected():
     with pytest.raises(ValueError, match="finite"):
         UsageVector(SPACE, [1.0, float("nan"), 0.0])

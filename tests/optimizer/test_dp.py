@@ -5,9 +5,11 @@ import pytest
 
 from repro.catalog import build_tpch_catalog
 from repro.core.candidates import pareto_undominated_indices
-from repro.core.vectors import CostVector
+from repro.core.vectors import CostVector, UsageVector
+from repro.experiments.scenarios import scenario
 from repro.optimizer.config import DEFAULT_PARAMETERS
 from repro.optimizer.dp import (
+    CostedPlan,
     ParetoPruner,
     PlanEnumerator,
     ScalarPruner,
@@ -21,6 +23,7 @@ from repro.optimizer.query import (
     TableRef,
 )
 from repro.storage import StorageLayout
+from repro.workloads.tpch_queries import tpch_query
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +161,45 @@ class TestParametricMode:
     def test_pareto_pruner_requires_center_for_cap(self):
         with pytest.raises(ValueError):
             ParetoPruner(cell_cap=10)
+
+    def test_unordered_plan_prunes_an_ordered_one(self, catalog):
+        """The rule the pruner applies, whether or not it is sound."""
+        layout = _layout(_query())
+        space = layout.space
+        cheap = CostedPlan(None, UsageVector(space, [1.0, 1.0, 1.0]), 1.0)
+        ordered = CostedPlan(
+            None,
+            UsageVector(space, [2.0, 2.0, 2.0]),
+            1.0,
+            order=("O", "O_ORDERKEY"),
+        )
+        assert ParetoPruner().prune([cheap, ordered]) == [cheap]
+        assert ParetoPruner().prune([ordered, cheap]) == [cheap]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ParetoPruner lets an unordered plan prune an ordered "
+        "one, so untruncated root sets can miss optimal plans "
+        "(EXPERIMENTS.md, known divergence 5)",
+    )
+    def test_root_set_holds_the_scalar_optimum(self, catalog):
+        """Colocated Q3 at a vertex of the delta = 10 region.
+
+        The scalar optimizer's plan there is 14% cheaper than every
+        plan of the (untruncated) root set.
+        """
+        config = scenario("colocated")
+        query = tpch_query("Q3", catalog)
+        layout = config.layout_for(query)
+        cost = config.region(layout, 10.0).vertex(16)
+        plans, __ = enumerate_root_plans(
+            query, catalog, DEFAULT_PARAMETERS, layout
+        )
+        best = optimize_scalar(
+            query, catalog, DEFAULT_PARAMETERS, layout, cost
+        )
+        cheapest_root = min(plan.usage.dot(cost) for plan in plans)
+        assert cheapest_root <= best.usage.dot(cost) * (1 + 1e-9)
 
 
 class TestPruners:

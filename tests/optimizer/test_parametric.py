@@ -1,4 +1,4 @@
-"""Tests for exact candidate-plan extraction (parametric mode)."""
+"""Tests for candidate-plan extraction (parametric mode)."""
 
 import numpy as np
 import pytest

@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.candidates import (
+    _probe_certified,
     candidate_optimal_indices,
+    is_candidate_optimal,
     pareto_undominated_indices,
 )
 from repro.core.costmodel import optimal_plan_index
-from repro.core.feasible import FeasibleRegion
+from repro.core.feasible import FeasibleRegion, VariationGroup
 from repro.core.resources import ResourceSpace
 from repro.core.vectors import CostVector, UsageVector
 
@@ -94,3 +96,46 @@ def test_dominated_plans_never_candidates(setup):
             if i != j and other.dominates(plan):
                 assert i not in candidates
                 break
+
+
+#: Variation-group layouts over 5 dimensions: multi-dimension groups,
+#: and dimensions no group covers (held fixed at the center).
+GROUPINGS = (
+    ((0, 1), (2,), (3, 4)),
+    ((0, 1, 2),),
+    ((1,), (2, 3)),
+    ((0, 4), (1,), (2,)),
+    ((0, 1, 2, 3, 4),),
+)
+
+
+@st.composite
+def grouped_plan_set(draw):
+    space = ResourceSpace.from_names([f"r{i}" for i in range(5)])
+    component = st.one_of(
+        st.sampled_from([0.0, 1.0, 2.0, 5.0]), st.floats(0.0, 50.0)
+    )
+    plans = [
+        UsageVector(
+            space, draw(st.lists(component, min_size=5, max_size=5))
+        )
+        for _ in range(draw(st.integers(1, 7)))
+    ]
+    costs = draw(st.lists(st.floats(0.01, 100.0), min_size=5, max_size=5))
+    center = CostVector(space, costs)
+    groups = tuple(
+        VariationGroup(f"g{k}", indices)
+        for k, indices in enumerate(draw(st.sampled_from(GROUPINGS)))
+    )
+    delta = draw(st.sampled_from([1.0, 1.5, 10.0, 100.0, 1e4]))
+    return plans, FeasibleRegion(center, delta, groups)
+
+
+@given(grouped_plan_set())
+@settings(max_examples=150, deadline=None)
+def test_probe_never_admits_a_plan_the_exact_lp_rejects(setup):
+    """A probe-certified plan skips its LP, so it must be a candidate."""
+    plans, region = setup
+    matrix = np.vstack([plan.values for plan in plans])
+    for index in np.flatnonzero(_probe_certified(matrix, region)):
+        assert is_candidate_optimal(int(index), plans, region, exact=True)
