@@ -1,8 +1,8 @@
 """DECISIONS — provenance capture must be free when off.
 
 The decision log rides inside the hottest loop in the repository (the
-dense ``C @ U.T`` sweep behind Figures 5-7), so its off-path is a
-single predictable branch per batch.  The benchmark times the real
+dense ``C @ U.T`` sweep behind Figures 5-7), so its off-path is one
+early-returning call per batch.  The benchmark times the real
 instrumented kernel (:func:`repro.core.worstcase.worst_case_gtc`) with
 the log disabled against a verbatim copy of the pre-instrumentation
 loop, and asserts the overhead stays under the 3% contract.  The

@@ -306,7 +306,6 @@ def _render_explain(
     cost,
     signatures,
     info: dict,
-    cascade: "dict | None",
 ) -> str:
     """One decision's provenance as the ``repro explain`` transcript."""
     lines = [f"decision provenance: {query_name} [{scenario_key}]"]
@@ -342,16 +341,6 @@ def _render_explain(
             f"{info['nearest_rival']} at normalized distance "
             f"{info['plane_distance']:.6g}"
         )
-    if cascade is not None:
-        lines.append(
-            f"lookup path: {cascade['path']} "
-            f"(reason {cascade['reason']}; "
-            f"{cascade['plans_scanned']} of {cascade['n_plans']} "
-            f"plans scanned, {cascade['groups_pruned']} of "
-            f"{cascade['groups']} groups pruned)"
-        )
-    else:
-        lines.append("lookup path: dense (plan index inactive)")
     if info["crossings"]:
         lines.append(
             "single-coordinate cost perturbations crossing the plane:"
@@ -454,13 +443,9 @@ def _cmd_explain(args: argparse.Namespace, run: _Run) -> int:
     else:
         cost = center.values
     info = explain_probe(candidates.usage_matrix, cost)
-    plan_index = candidates.plan_index()
-    cascade = (
-        plan_index.explain(cost) if plan_index.active else None
-    )
     rendered = _render_explain(
         getattr(query, "name", str(query)), args.scenario,
-        space.names, cost, candidates.signatures, info, cascade,
+        space.names, cost, candidates.signatures, info,
     )
     ctx.record_digest("explain", rendered)
     print(rendered)
@@ -778,13 +763,6 @@ def _cache_flags(p: argparse.ArgumentParser) -> None:
         "--no-cache", action="store_true",
         help="recompute candidate sets; do not read or write the "
              "disk cache",
-    )
-    p.add_argument(
-        "--no-plan-index", action="store_true",
-        help="disable the sublinear plan-location index and answer "
-             "every lookup with the dense argmin kernel (also "
-             "$REPRO_NO_PLAN_INDEX=1); results are identical either "
-             "way",
     )
 
 
@@ -1383,17 +1361,9 @@ def _finish_run(
         TIMESERIES.summary()
         if getattr(args, "timeseries", False) else None
     )
-    decisions_summary = None
-    if DECISIONS.enabled:
-        decisions_summary = DECISIONS.summary()
-        decisions_summary["fallback_reasons"] = {
-            reason: snapshot["counters"].get(
-                f"planindex.exact_fallbacks.{reason}", 0
-            )
-            for reason in (
-                "near_tie", "invalid_probe", "weak_certificate"
-            )
-        }
+    decisions_summary = (
+        DECISIONS.summary() if DECISIONS.enabled else None
+    )
     if getattr(args, "manifest", None) and not getattr(
         args, "no_manifest", False
     ):
@@ -1486,25 +1456,6 @@ def _finish_run(
             f"under {cache_dir}",
             file=sys.stderr,
         )
-    fallbacks = counters.get("planindex.exact_fallbacks", 0)
-    probes = counters.get("planindex.probes", 0)
-    if fallbacks:
-        fraction = fallbacks / probes if probes else 0.0
-        reasons = ", ".join(
-            f"{reason.replace('_', '-')} "
-            f"{counters.get(f'planindex.exact_fallbacks.{reason}', 0)}"
-            for reason in (
-                "near_tie", "invalid_probe", "weak_certificate"
-            )
-            if counters.get(f"planindex.exact_fallbacks.{reason}", 0)
-        )
-        detail = f" ({reasons})" if reasons else ""
-        print(
-            f"plan index: {fallbacks} of {probes} lookups "
-            f"({fraction:.1%}) fell back to the dense kernel{detail} "
-            "(results are exact either way; see `repro report`)",
-            file=sys.stderr,
-        )
     if decisions_summary is not None:
         print(_decisions_epilogue(decisions_summary), file=sys.stderr)
         fragility = _fragility_epilogue(decisions_summary)
@@ -1578,22 +1529,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     run = _Run()
     wall_start = time.perf_counter()
     cpu_start = time.process_time()
-    # --no-plan-index rides on the env var the core index checks, so
-    # one flag reaches every layer (including --jobs workers, which
-    # inherit the environment).  Restored afterwards to keep in-process
-    # callers (tests, notebooks) unaffected.
-    saved_no_index = os.environ.get("REPRO_NO_PLAN_INDEX")
-    if getattr(args, "no_plan_index", False):
-        os.environ["REPRO_NO_PLAN_INDEX"] = "1"
-    try:
-        with span(f"cli.{args.command}"):
-            code = args.func(args, run)
-    finally:
-        if getattr(args, "no_plan_index", False):
-            if saved_no_index is None:
-                os.environ.pop("REPRO_NO_PLAN_INDEX", None)
-            else:
-                os.environ["REPRO_NO_PLAN_INDEX"] = saved_no_index
+    with span(f"cli.{args.command}"):
+        code = args.func(args, run)
     wall_seconds = time.perf_counter() - wall_start
     cpu_seconds = time.process_time() - cpu_start
     # Stop the samplers before reading their state so the artefacts

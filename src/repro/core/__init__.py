@@ -56,7 +56,6 @@ from .geometry import (
     switchover_normal,
     switchover_point_in_box,
 )
-from .planindex import PlanIndex, dense_owner_batch
 from .regions import InfluenceDiagram, RegionOfInfluence
 from .resources import Resource, ResourceSpace, ResourceSpaceMismatchError
 from .switching import (
@@ -85,7 +84,6 @@ __all__ = [
     "EnvelopePiece",
     "PlanDiagram",
     "PlanEnvelope",
-    "PlanIndex",
     "RegionOfInfluence",
     "Resource",
     "ResourceSpace",
@@ -105,7 +103,6 @@ __all__ = [
     "classify_pair",
     "collect_plan_samples",
     "corollary_constant_bound",
-    "dense_owner_batch",
     "discover_candidate_plans",
     "equicost_value",
     "estimate_usage_vector",

@@ -133,7 +133,6 @@ class TabularBlackBox:
         self,
         plans: Sequence[tuple[str, UsageVector]],
         quantization: float = 0.0,
-        plan_index: "bool | None" = None,
     ) -> None:
         if not plans:
             raise ValueError("need at least one plan")
@@ -146,23 +145,7 @@ class TabularBlackBox:
             self._space.require_same(usage.space)
         self._matrix = np.vstack([usage.values for __, usage in plans])
         self._quantization = float(quantization)
-        #: None = automatic (index activates above its plan-count
-        #: threshold), False = always dense, True = index regardless
-        #: of plan count.
-        self._plan_index_opt = plan_index
-        self._index = None
         self.call_count = 0
-
-    def _plan_index(self):
-        """The lazily built point-location index (None when forced off)."""
-        if self._plan_index_opt is False:
-            return None
-        if self._index is None:
-            from .planindex import PlanIndex
-
-            min_plans = 1 if self._plan_index_opt is True else None
-            self._index = PlanIndex(self._matrix, min_plans=min_plans)
-        return self._index if self._index.active else None
 
     @property
     def plans(self) -> list[tuple[str, UsageVector]]:
@@ -189,26 +172,9 @@ class TabularBlackBox:
     def optimize(self, cost: CostVector) -> PlanChoice:
         self.call_count += 1
         self._space.require_same(cost.space)
-        if DECISIONS.enabled:
-            # Decision capture needs every rival's total, which the
-            # index cascade prunes away — take the dense kernel (the
-            # chosen plan is identical by contract).
-            totals = self._matrix @ cost.values
-            index = int(np.argmin(totals))
-            DECISIONS.observe_one(
-                self._matrix, cost.values, totals, index,
-                path=(
-                    "dense" if self._plan_index() is None
-                    else "dense_capture"
-                ),
-            )
-        else:
-            plan_index = self._plan_index()
-            if plan_index is not None:
-                index = plan_index.owner(cost.values)
-            else:
-                totals = self._matrix @ cost.values
-                index = int(np.argmin(totals))
+        totals = self._matrix @ cost.values
+        index = int(np.argmin(totals))
+        DECISIONS.observe_one(self._matrix, cost.values, totals, index)
         total = float(self._matrix[index] @ cost.values)
         return PlanChoice(
             signature=self._plans[index][0],
@@ -216,9 +182,7 @@ class TabularBlackBox:
         )
 
     def optimize_batch(self, costs) -> list[PlanChoice]:
-        """Vectorised batch: one ``C @ U.T`` for the whole cost matrix
-        (or a sublinear :class:`~repro.core.planindex.PlanIndex`
-        lookup once the plan count crosses the index threshold).
+        """Vectorised batch: one ``C @ U.T`` for the whole cost matrix.
 
         The reported totals are recomputed as per-plan dot products so
         they match :meth:`optimize` bitwise for the same chosen plan.
@@ -227,28 +191,10 @@ class TabularBlackBox:
         self.call_count += len(matrix)
         if not len(matrix):
             return []
-        if DECISIONS.enabled:
-            # Dense even when the index is active: margins and plane
-            # distances are extracted from the totals the kernel just
-            # materialized (no second pass), and the index would prune
-            # exactly the rivals that extraction needs.
-            with np.errstate(invalid="ignore"):
-                totals = matrix @ self._matrix.T
-                indices = np.argmin(totals, axis=1)
-            DECISIONS.observe_batch(
-                self._matrix, matrix, totals, indices,
-                path=(
-                    "dense" if self._plan_index() is None
-                    else "dense_capture"
-                ),
-            )
-        else:
-            plan_index = self._plan_index()
-            if plan_index is not None:
-                indices = plan_index.owner_batch(matrix)
-            else:
-                totals = matrix @ self._matrix.T
-                indices = np.argmin(totals, axis=1)
+        with np.errstate(invalid="ignore"):
+            totals = matrix @ self._matrix.T
+            indices = np.argmin(totals, axis=1)
+        DECISIONS.observe_batch(self._matrix, matrix, totals, indices)
         return [
             PlanChoice(
                 signature=self._plans[index][0],

@@ -27,7 +27,6 @@ import numpy as np
 from .candidates import region_of_influence_margin, witness_cost_vector
 from .feasible import FeasibleRegion
 from .geometry import switchover_point_in_box
-from .planindex import PlanIndex
 from .vectors import CostVector, UsageVector
 
 __all__ = ["RegionOfInfluence", "InfluenceDiagram"]
@@ -41,23 +40,18 @@ def _winner_counts(
     region: FeasibleRegion,
     rng: np.random.Generator,
     n_samples: int,
-    index: "PlanIndex | None" = None,
 ) -> np.ndarray:
     """Monte-Carlo winner histogram over the feasible region.
 
-    One batched ``S @ U.T`` + row argmin per chunk (or a
-    :class:`PlanIndex` lookup when an active index is supplied)
-    instead of a Python loop per sample.
+    One batched ``S @ U.T`` + row argmin per chunk instead of a Python
+    loop per sample.
     """
     counts = np.zeros(matrix.shape[0], dtype=np.int64)
     remaining = n_samples
     while remaining > 0:
         take = min(remaining, _MC_CHUNK)
         samples = region.sample_matrix(rng, take)
-        if index is not None and index.active:
-            winners = index.owner_batch(samples)
-        else:
-            winners = np.argmin(samples @ matrix.T, axis=1)
+        winners = np.argmin(samples @ matrix.T, axis=1)
         counts += np.bincount(winners, minlength=len(counts))
         remaining -= take
     return counts
@@ -142,18 +136,6 @@ class InfluenceDiagram:
         # Cached once: owner()/volume_fractions() used to rebuild this
         # stack on every call.
         self._matrix = np.vstack([u.values for u in self._usages])
-        self._index: "PlanIndex | None" = None
-
-    def plan_index(self) -> PlanIndex:
-        """The point-location index over this diagram's plans (lazy).
-
-        Inert below the activation threshold (small plan sets are
-        faster through the dense kernel), in which case lookups below
-        stay on the exact code path they always used.
-        """
-        if self._index is None:
-            self._index = PlanIndex(self._matrix, self._region)
-        return self._index
 
     @property
     def regions(self) -> tuple[RegionOfInfluence, ...]:
@@ -164,9 +146,6 @@ class InfluenceDiagram:
 
     def owner(self, cost: CostVector) -> int:
         """Index of the plan optimal at ``cost`` (lowest index on ties)."""
-        index = self.plan_index()
-        if index.active:
-            return index.owner(cost)
         return int(np.argmin(self._matrix @ cost.values))
 
     def nonempty_regions(self) -> list[int]:
@@ -214,12 +193,10 @@ class InfluenceDiagram:
     ) -> np.ndarray:
         """Monte-Carlo volume share of every plan in one pass.
 
-        Vectorised (chunked ``S @ U.T`` + argmin, or the plan index
-        when it is active) — the sampling stream matches the old
-        per-sample loop point for point.
+        Vectorised (chunked ``S @ U.T`` + argmin) — the sampling
+        stream matches the old per-sample loop point for point.
         """
         counts = _winner_counts(
-            self._matrix, self._region, rng, n_samples,
-            index=self.plan_index(),
+            self._matrix, self._region, rng, n_samples
         )
         return counts / n_samples

@@ -25,7 +25,6 @@ import numpy as np
 from ..obs.decisions import DECISIONS
 from .costmodel import usage_matrix
 from .feasible import FeasibleRegion
-from .planindex import PlanIndex
 from .vectors import CostVector, UsageVector
 
 __all__ = [
@@ -88,7 +87,6 @@ def worst_case_gtc(
     candidates: Sequence[UsageVector],
     region: FeasibleRegion,
     batch_size: int = 4096,
-    index: "PlanIndex | None" = None,
     reference: "int | None" = None,
 ) -> WorstCasePoint:
     """Exact worst-case GTC of ``initial`` over ``region``.
@@ -99,51 +97,22 @@ def worst_case_gtc(
     need not be among the candidates — if it is optimal somewhere, it
     should be, and GTC at such vertices is 1.
 
-    ``index`` may be an active :class:`~repro.core.planindex.PlanIndex`
-    built over exactly ``usage_matrix(candidates)``: the per-vertex
-    optimum is then found by point location (winner row dot product)
-    instead of the dense ``costs @ matrix.T`` sweep.  The winner totals
-    are exact dot products either way.
-
-    With ``--decisions`` the full totals matrix is materialized on both
-    paths and handed to :data:`~repro.obs.decisions.DECISIONS`
-    (``reference`` marks the initial plan's row for wrong-choice
-    accounting); each path's ``optima`` stays bitwise identical to the
-    undecorated run — the index path's winners equal the dense argmin
-    by the index contract.
+    With ``--decisions`` each batch's totals matrix is handed to
+    :data:`~repro.obs.decisions.DECISIONS` (``reference`` marks the
+    initial plan's row for wrong-choice accounting); the optima are
+    read from the same totals either way.
     """
     matrix = usage_matrix(candidates)
     initial.space.require_same(candidates[0].space)
     initial_row = initial.values
-    use_index = index is not None and index.active
-    capture = DECISIONS.enabled
     best_gtc = -np.inf
     best_vertex = -1
     for ids, costs in region.vertex_batches(batch_size):
-        if use_index and not capture:
-            winners = index.owner_batch(costs)
-            optima = np.einsum(
-                "rd,rd->r", costs, matrix[winners], optimize=True
-            )
-        else:
-            totals = costs @ matrix.T        # (batch, m)
-            if capture:
-                with np.errstate(invalid="ignore"):
-                    winners = np.argmin(totals, axis=1)
-                DECISIONS.observe_batch(
-                    matrix, costs, totals, winners,
-                    reference=reference,
-                    path="dense_capture" if use_index else "dense",
-                )
-                if use_index:
-                    optima = np.einsum(
-                        "rd,rd->r", costs, matrix[winners],
-                        optimize=True,
-                    )
-                else:
-                    optima = totals.min(axis=1)
-            else:
-                optima = totals.min(axis=1)  # cheapest per vertex
+        totals = costs @ matrix.T        # (batch, m)
+        DECISIONS.observe_batch(
+            matrix, costs, totals, reference=reference
+        )
+        optima = totals.min(axis=1)      # cheapest per vertex
         initial_totals = costs @ initial_row
         with np.errstate(divide="ignore", invalid="ignore"):
             gtc = np.where(optima > 0, initial_totals / optima, np.inf)
@@ -168,14 +137,12 @@ def worst_case_curve(
     label: str = "",
     initial_plan_index: int = -1,
     batch_size: int = 4096,
-    index: PlanIndex | None = None,
 ) -> WorstCaseCurve:
     """Sweep :func:`worst_case_gtc` over a grid of error levels.
 
     ``base_region`` supplies the center cost vector and variation
     groups; its own delta is ignored in favour of each entry of
-    ``deltas``.  ``index`` is forwarded to every per-delta sweep (the
-    index is scale-free, so one index serves all error levels).
+    ``deltas``.
     """
     points = []
     reference = initial_plan_index if initial_plan_index >= 0 else None
@@ -183,7 +150,7 @@ def worst_case_curve(
         region = base_region.with_delta(delta)
         points.append(
             worst_case_gtc(
-                initial, candidates, region, batch_size, index=index,
+                initial, candidates, region, batch_size,
                 reference=reference,
             )
         )

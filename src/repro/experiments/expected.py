@@ -29,7 +29,7 @@ from ..optimizer.plancache import PlanCache, cached_candidate_plans
 from ..optimizer.query import QuerySpec
 from .engine import Experiment, RunContext, register_experiment, run_experiment
 from .scenarios import Scenario, scenario
-from .sweeps import MC_CHUNK, plan_index_for, sweep_optimal_totals
+from .sweeps import MC_CHUNK, sweep_optimal_totals
 
 __all__ = [
     "ExpectedRegret",
@@ -81,7 +81,6 @@ def analyze_expected_regret(
             cache=cache, scenario_key=config.key,
         )
         matrix = candidates.usage_matrix
-        index = plan_index_for(candidates)
         initial_index = candidates.initial_plan_index()
         initial_row = matrix[initial_index]
         rng = np.random.default_rng(seed)
@@ -93,7 +92,7 @@ def analyze_expected_regret(
             samples = region.sample_matrix(rng, take)
             with DECISIONS.scoped(f"expected:{query.name}"):
                 __, best = sweep_optimal_totals(
-                    matrix, samples, index, reference=initial_index
+                    matrix, samples, reference=initial_index
                 )
             stale = samples @ initial_row
             gtcs[position:position + take] = stale / best

@@ -2,21 +2,15 @@
 
 Every experiment ultimately answers the same inner question many times:
 *which candidate plan is optimal at this cost vector, and at what
-cost?*  This module is the one place that question is answered, so the
-figure, expected-regret and census experiments all go through the same
-two code paths:
+cost?*  The expected-regret and census experiments answer it here,
+with one dense kernel: a ``C @ U.T`` matrix product plus a row-wise
+argmin (exact, lowest-index tie-break).  The figure sweep
+(:mod:`repro.core.worstcase`) runs the same product over the feasible
+region's vertices.
 
-* the **dense kernel** — one ``C @ U.T`` matrix product plus a row-wise
-  argmin (exact, lowest-index tie-break);
-* the **plan index** — the sublinear conic point-location cascade of
-  :mod:`repro.core.planindex`, used automatically once a candidate set
-  is large enough for the index to activate.  Index answers are
-  bit-identical to the dense argmin (ambiguous rows fall back to the
-  dense kernel internally), so switching paths never changes results.
-
-Winner *totals* are always recomputed as exact per-winner dot products
-(`einsum` over the selected rows), never read out of the dense product,
-so both paths report bitwise identical costs.
+Winner *totals* are recomputed as exact per-winner dot products
+(`einsum` over the selected rows), never read out of the
+(block-rounded) matrix product.
 """
 
 from __future__ import annotations
@@ -24,12 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.feasible import FeasibleRegion
-from ..core.planindex import PlanIndex, dense_owner_batch
 from ..obs.decisions import DECISIONS
-from ..optimizer.parametric import CandidateSet
 
 __all__ = [
-    "plan_index_for",
     "sweep_winners",
     "sweep_optimal_totals",
     "monte_carlo_shares",
@@ -39,67 +30,40 @@ __all__ = [
 MC_CHUNK = 4096
 
 
-def plan_index_for(candidates: CandidateSet) -> PlanIndex | None:
-    """The candidate set's plan index if it is active, else ``None``.
-
-    ``None`` means "use the dense kernel": small candidate sets never
-    pay index overhead, and ``REPRO_NO_PLAN_INDEX=1`` disables the
-    index everywhere at once.
-    """
-    index = candidates.plan_index()
-    return index if index.active else None
-
-
 def sweep_winners(
     matrix: np.ndarray,
     costs: np.ndarray,
-    index: PlanIndex | None = None,
     reference: "int | np.ndarray | None" = None,
 ) -> np.ndarray:
     """Winning plan row per cost row (lowest index on ties).
 
-    Exactly ``argmin(costs @ matrix.T, axis=1)`` on both paths; the
-    index path is just sublinear in ``len(matrix)``.
-
-    With ``--decisions`` the dense kernel is taken regardless of the
-    index (margins and plane distances need every rival's total, which
-    the pruning cascade never materializes) and the totals matrix is
-    handed to :data:`~repro.obs.decisions.DECISIONS` for margin and
+    Exactly ``argmin(costs @ matrix.T, axis=1)``.  With
+    ``--decisions`` the totals matrix is handed to
+    :data:`~repro.obs.decisions.DECISIONS` for margin and
     plane-distance extraction — no second kernel pass.  ``reference``
     (the plan a non-drifted optimizer would pick) enables wrong-choice
-    accounting.  Winners are bit-identical either way.
+    accounting.
     """
-    if DECISIONS.enabled:
-        with np.errstate(invalid="ignore"):
-            totals = costs @ matrix.T
-            winners = np.argmin(totals, axis=1)
-        DECISIONS.observe_batch(
-            matrix, costs, totals, winners,
-            reference=reference,
-            path=(
-                "dense" if index is None or not index.active
-                else "dense_capture"
-            ),
-        )
-        return winners
-    if index is not None and index.active:
-        return index.owner_batch(costs)
-    return dense_owner_batch(matrix, costs)
+    with np.errstate(invalid="ignore"):
+        totals = costs @ matrix.T
+        winners = np.argmin(totals, axis=1)
+    DECISIONS.observe_batch(
+        matrix, costs, totals, winners, reference=reference
+    )
+    return winners
 
 
 def sweep_optimal_totals(
     matrix: np.ndarray,
     costs: np.ndarray,
-    index: PlanIndex | None = None,
     reference: "int | np.ndarray | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(winners, totals)`` per cost row.
 
     ``totals[r]`` is the exact dot product ``matrix[winners[r]] .
-    costs[r]`` — not the (block-rounded) matrix-product entry — so the
-    reported optimum is bitwise independent of which path answered.
+    costs[r]``, not the matrix-product entry.
     """
-    winners = sweep_winners(matrix, costs, index, reference)
+    winners = sweep_winners(matrix, costs, reference)
     totals = np.einsum(
         "rd,rd->r", costs, matrix[winners], optimize=True
     )
@@ -111,7 +75,6 @@ def monte_carlo_shares(
     region: FeasibleRegion,
     rng: np.random.Generator,
     n_samples: int,
-    index: PlanIndex | None = None,
     reference: "int | None" = None,
 ) -> np.ndarray:
     """Monte-Carlo share of the feasible region each plan rules.
@@ -128,7 +91,7 @@ def monte_carlo_shares(
     while remaining > 0:
         take = min(remaining, MC_CHUNK)
         samples = region.sample_matrix(rng, take)
-        winners = sweep_winners(matrix, samples, index, reference)
+        winners = sweep_winners(matrix, samples, reference)
         counts += np.bincount(winners, minlength=len(counts))
         remaining -= take
     return counts / n_samples

@@ -56,11 +56,7 @@ from .accumulators import (
 )
 from .engine import Experiment, RunContext, register_experiment, run_experiment
 from .scenarios import Scenario, scenario
-from .sweeps import (
-    monte_carlo_shares,
-    plan_index_for,
-    sweep_optimal_totals,
-)
+from .sweeps import monte_carlo_shares, sweep_optimal_totals
 
 __all__ = [
     "QueryCensus",
@@ -163,7 +159,6 @@ def analyze_query_census(
             shares = monte_carlo_shares(
                 candidates.usage_matrix, region,
                 np.random.default_rng(0), share_samples,
-                index=plan_index_for(candidates),
                 reference=candidates.initial_plan_index(),
             )
         initial_share = float(shares[candidates.initial_plan_index()])
@@ -248,14 +243,13 @@ def analyze_generated_query(
             query, catalog, params, layout, region, cell_cap=cell_cap,
         )
         matrix = candidates.usage_matrix
-        plan_index = plan_index_for(candidates)
         initial_row = matrix[candidates.initial_plan_index()]
         rng = np.random.default_rng(
             np.random.SeedSequence(seed, spawn_key=(index, 1))
         )
         with DECISIONS.scoped("census:generated"):
             shares = monte_carlo_shares(
-                matrix, region, rng, share_samples, index=plan_index,
+                matrix, region, rng, share_samples,
                 reference=candidates.initial_plan_index(),
             )
         wrong_fraction = 1.0 - float(
@@ -271,9 +265,7 @@ def analyze_generated_query(
             )
             samples = level.sample_matrix(level_rng, regime_samples)
             with DECISIONS.scoped("census:generated"):
-                __, best = sweep_optimal_totals(
-                    matrix, samples, plan_index
-                )
+                __, best = sweep_optimal_totals(matrix, samples)
             stale = samples @ initial_row
             regime_regrets.append(
                 tuple(float(x) for x in stale / best)

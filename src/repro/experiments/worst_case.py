@@ -32,7 +32,6 @@ from ..optimizer.plancache import PlanCache, cached_candidate_plans
 from ..optimizer.query import QuerySpec
 from .engine import Experiment, RunContext, register_experiment, run_experiment
 from .scenarios import DEFAULT_DELTAS, Scenario, scenario
-from .sweeps import plan_index_for
 
 __all__ = [
     "QueryWorstCase",
@@ -144,7 +143,6 @@ def run_query_worst_case(
                 deltas,
                 label=query.name,
                 initial_plan_index=initial_index,
-                index=plan_index_for(candidates),
             )
         current.set(
             candidates=len(candidates), final_gtc=curve.final_gtc()

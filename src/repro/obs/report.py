@@ -87,34 +87,6 @@ def _cache_summary(counters: Mapping[str, Any]) -> "str | None":
     )
 
 
-def _planindex_summary(counters: Mapping[str, Any]) -> "str | None":
-    probes = counters.get("planindex.probes", 0)
-    if not probes:
-        return None
-    fallbacks = counters.get("planindex.exact_fallbacks", 0)
-    pruned = counters.get("planindex.pruned", 0)
-    visited = counters.get("planindex.leaf_visits", 0)
-    scanned = pruned + visited
-    prune_rate = 100.0 * pruned / scanned if scanned else 0.0
-    summary = (
-        f"plan index: {probes} lookups, {fallbacks} dense fallbacks "
-        f"({100.0 * fallbacks / probes:.1f}%) — {prune_rate:.0f}% of "
-        "candidate rows pruned"
-    )
-    reasons = [
-        (reason, counters.get(
-            f"planindex.exact_fallbacks.{reason}", 0
-        ))
-        for reason in ("near_tie", "invalid_probe", "weak_certificate")
-    ]
-    if any(count for _, count in reasons):
-        summary += "\n" + _INDENT + "fallback reasons: " + ", ".join(
-            f"{reason.replace('_', '-')} {count}"
-            for reason, count in reasons
-        )
-    return summary
-
-
 def render_manifest(manifest: Mapping[str, Any]) -> str:
     """One manifest as a phase/time/cache breakdown."""
     lines: list[str] = []
@@ -225,10 +197,6 @@ def render_manifest(manifest: Mapping[str, Any]) -> str:
     if summary:
         lines.append("")
         lines.append(summary)
-    index_summary = _planindex_summary(counters)
-    if index_summary:
-        lines.append("")
-        lines.append(index_summary)
     _profile_lines(manifest.get("profile"), lines)
     _timeseries_lines(manifest.get("timeseries"), lines)
     _decisions_lines(manifest.get("decisions"), lines)
@@ -329,18 +297,6 @@ def _decisions_lines(
             _INDENT + "lookup paths: " + ", ".join(
                 f"{path} {count}"
                 for path, count in sorted(paths.items())
-            )
-        )
-    reasons = decisions.get("fallback_reasons") or {}
-    if any(reasons.values()):
-        order = ("near_tie", "invalid_probe", "weak_certificate")
-        ordered = [r for r in order if r in reasons] + sorted(
-            set(reasons) - set(order)
-        )
-        lines.append(
-            _INDENT + "fallback reasons: " + ", ".join(
-                f"{reason.replace('_', '-')} {reasons[reason]}"
-                for reason in ordered
             )
         )
     contexts = decisions.get("contexts") or {}

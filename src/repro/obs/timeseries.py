@@ -2,11 +2,11 @@
 
 The metrics registry (:mod:`repro.obs.metrics`) reports one *final*
 total per counter — enough to compare two runs, useless for seeing how
-a run unfolded (did the plan cache warm up early? did the plan index
-fall back in a burst or steadily?).  ``--timeseries`` fixes that: a
+a run unfolded (did the plan cache warm up early? did task retries
+come in a burst or steadily?).  ``--timeseries`` fixes that: a
 background daemon thread samples every counter at a fixed interval,
-turning ``planindex.*`` / ``plancache.*`` / ``engine.*`` totals into
-curves over the run.
+turning ``plancache.*`` / ``engine.*`` totals into curves over the
+run.
 
 The recorded points surface in two places:
 

@@ -105,43 +105,20 @@ class CandidateBackedBlackBox:
                 return plan.usage
         raise KeyError(signature)
 
-    def _plan_index(self):
-        """The candidate set's shared index, or None while inert."""
-        index = self._candidates.plan_index()
-        return index if index.active else None
-
     def optimize(self, cost: CostVector) -> PlanChoice:
         self.call_count += 1
         METRICS.counter("blackbox.candidate_calls").inc()
         self._space.require_same(cost.space)
-        if DECISIONS.enabled:
-            # Dense capture: margins need every rival's total, which
-            # the index prunes; the chosen plan is identical.
-            totals = self._matrix @ cost.values
-            index = int(np.argmin(totals))
-            DECISIONS.observe_one(
-                self._matrix, cost.values, totals, index,
-                path=(
-                    "dense" if self._plan_index() is None
-                    else "dense_capture"
-                ),
-            )
-        else:
-            index_struct = self._plan_index()
-            if index_struct is not None:
-                index = index_struct.owner(cost.values)
-            else:
-                totals = self._matrix @ cost.values
-                index = int(np.argmin(totals))
+        totals = self._matrix @ cost.values
+        index = int(np.argmin(totals))
+        DECISIONS.observe_one(self._matrix, cost.values, totals, index)
         return PlanChoice(
             signature=self._signatures[index],
             total_cost=float(self._matrix[index] @ cost.values),
         )
 
     def optimize_batch(self, costs) -> list[PlanChoice]:
-        """Whole batch in one ``C @ U.T`` against the cached matrix —
-        or one sublinear point-location pass once the candidate count
-        crosses the :class:`~repro.core.planindex.PlanIndex` threshold.
+        """Whole batch in one ``C @ U.T`` against the cached matrix.
 
         The reported totals are recomputed as per-plan dot products so
         they match :meth:`optimize` bitwise for the same chosen plan.
@@ -151,24 +128,10 @@ class CandidateBackedBlackBox:
         METRICS.counter("blackbox.candidate_calls").inc(len(matrix))
         if not len(matrix):
             return []
-        if DECISIONS.enabled:
-            with np.errstate(invalid="ignore"):
-                totals = matrix @ self._matrix.T
-                indices = np.argmin(totals, axis=1)
-            DECISIONS.observe_batch(
-                self._matrix, matrix, totals, indices,
-                path=(
-                    "dense" if self._plan_index() is None
-                    else "dense_capture"
-                ),
-            )
-        else:
-            index_struct = self._plan_index()
-            if index_struct is not None:
-                indices = index_struct.owner_batch(matrix)
-            else:
-                totals = matrix @ self._matrix.T
-                indices = np.argmin(totals, axis=1)
+        with np.errstate(invalid="ignore"):
+            totals = matrix @ self._matrix.T
+            indices = np.argmin(totals, axis=1)
+        DECISIONS.observe_batch(self._matrix, matrix, totals, indices)
         return [
             PlanChoice(
                 signature=self._signatures[index],

@@ -27,7 +27,6 @@ import numpy as np
 from ..catalog.statistics import Catalog
 from ..core.candidates import candidate_optimal_indices
 from ..core.feasible import FeasibleRegion
-from ..core.planindex import PlanIndex
 from ..core.vectors import CostVector, UsageVector
 from ..obs.metrics import METRICS
 from ..obs.trace import span
@@ -56,10 +55,6 @@ class CandidateSet:
     _matrix: "np.ndarray | None" = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: Lazily built point-location index over the same matrix.
-    _index: "PlanIndex | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def usages(self) -> list[UsageVector]:
@@ -77,17 +72,6 @@ class CandidateSet:
                 [plan.usage.values for plan in self.plans]
             )
         return self._matrix
-
-    def plan_index(self) -> PlanIndex:
-        """Point-location index over :attr:`usage_matrix` (lazy, shared).
-
-        Inert below the activation threshold — consumers must check
-        :attr:`~repro.core.planindex.PlanIndex.active` and keep using
-        the dense kernel otherwise.
-        """
-        if self._index is None:
-            self._index = PlanIndex(self.usage_matrix, self.region)
-        return self._index
 
     def initial_plan_index(self, center: CostVector | None = None) -> int:
         """Index of the plan optimal at the region center (``C_0``).

@@ -56,7 +56,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 #: Bump when the pickle payload or key material changes shape.
-_FORMAT_VERSION = 1
+#: v2: ``CandidateSet`` no longer carries a plan-index field.
+_FORMAT_VERSION = 2
 
 #: Everything a pickle load can raise on a corrupt/alien/stale entry.
 #: Shared with the run journal (:mod:`repro.experiments.journal`),

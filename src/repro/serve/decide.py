@@ -75,7 +75,6 @@ def decide_one(
         "margin": info["margin"],
         "plane_distance": info["plane_distance"],
         "nearest_rival": info["nearest_rival"],
-        "index_active": bool(entry.index_active),
     }
 
 

@@ -39,8 +39,9 @@ __all__ = [
     "response_core",
 ]
 
-#: Bump when the decide response shape changes.
-SERVE_SCHEMA_VERSION = 1
+#: Bump when the decide response shape changes (v2 dropped the
+#: plan-index activity flag).
+SERVE_SCHEMA_VERSION = 2
 
 #: Significant digits a probe cost vector is quantized to.  Nine
 #: digits is far below any physically meaningful calibration error and

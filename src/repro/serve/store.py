@@ -1,7 +1,7 @@
 """The warm candidate-set store behind the decision server.
 
 One :class:`CandidateStore` holds, per ``(query, scenario)``, the
-usage matrix, plan signatures and plan index the decide kernel sweeps
+usage matrix and plan signatures the decide kernel sweeps
 — built exactly the way offline ``repro explain`` builds them
 (``cached_candidate_plans`` with the same delta, cell cap and scenario
 key), so an online decision and an offline explain of the same probe
@@ -65,7 +65,6 @@ class StoreEntry:
         "signatures",
         "names",
         "center",
-        "index_active",
         "truncated",
     )
 
@@ -79,7 +78,6 @@ class StoreEntry:
         center = layout.center_costs()
         self.names = tuple(center.space.names)
         self.center = tuple(float(v) for v in center.values)
-        self.index_active = bool(candidates.plan_index().active)
         self.truncated = bool(candidates.truncated)
 
     @property

@@ -39,9 +39,7 @@ def test_decisions_block_jsonl_and_instant_events(capsys):
     assert block is not None
     assert block["probes"] > 0
     assert block["sampled"] == len(block["records"])
-    assert set(block["fallback_reasons"]) == {
-        "near_tie", "invalid_probe", "weak_certificate",
-    }
+    assert block["paths"] == {"dense": block["probes"]}
     assert "figure:Q14" in block["contexts"]
 
     lines = Path("d.jsonl").read_text().splitlines()
@@ -170,7 +168,7 @@ def test_explain_generated_defaults_to_colocated(capsys):
     out = capsys.readouterr().out
     assert "decision provenance: G1 [colocated]" in out
     assert "winner:    plan" in out
-    assert "lookup path:" in out
+    assert "lookup path" not in out
 
 
 def test_explain_usage_errors(capsys):

@@ -514,53 +514,3 @@ def test_bench_compare_verdict_names_provenance(capsys):
     assert verdict
     assert any("git " in line for line in verdict)
     assert any("catalog " in line for line in verdict)
-
-
-# ----------------------------------------------------------------------
-# Plan-index reporting (summary line + dense-fallback epilogue)
-# ----------------------------------------------------------------------
-def test_report_plan_index_summary_zero_fallbacks(
-    monkeypatch, capsys
-):
-    monkeypatch.setenv("REPRO_PLAN_INDEX_MIN_PLANS", "1")
-    assert main(FIGURE) == 0
-    # No fallbacks: the stderr epilogue stays silent.
-    assert "fell back" not in capsys.readouterr().err
-    assert main(["report", "run-manifest.json"]) == 0
-    out = capsys.readouterr().out
-    assert "plan index:" in out
-    assert "0 dense fallbacks (0.0%)" in out
-
-
-def test_report_plan_index_fallbacks_warn_and_render(
-    monkeypatch, capsys
-):
-    from repro.core import planindex
-
-    monkeypatch.setenv("REPRO_PLAN_INDEX_MIN_PLANS", "1")
-    original = planindex.PlanIndex._lookup_chunk
-
-    def leaky(self, costs, out):
-        original(self, costs, out)
-        # Every probe reports a reason-coded dense fallback.
-        return {"near_tie": len(costs), "invalid_probe": 0,
-                "weak_certificate": 0}
-
-    monkeypatch.setattr(planindex.PlanIndex, "_lookup_chunk", leaky)
-    assert main(FIGURE) == 0
-    err = capsys.readouterr().err
-    assert "fell back to the dense kernel" in err
-    assert "near-tie" in err  # the reason-coded breakdown
-    assert main(["report", "run-manifest.json"]) == 0
-    out = capsys.readouterr().out
-    assert "plan index:" in out
-    assert "dense fallbacks" in out
-    assert "0 dense fallbacks" not in out
-    assert "fallback reasons: near-tie" in out
-
-
-def test_report_without_plan_index_has_no_summary(capsys):
-    assert main(FIGURE + ["--no-plan-index"]) == 0
-    capsys.readouterr()
-    assert main(["report", "run-manifest.json"]) == 0
-    assert "plan index:" not in capsys.readouterr().out

@@ -1,17 +1,16 @@
-"""The shared sweep helpers and index-backed experiment parity."""
+"""The shared sweep kernels against brute-force oracles, and census
+parity across job counts."""
 
 import numpy as np
 import pytest
 
 from repro.catalog import build_tpch_catalog
 from repro.core.feasible import FeasibleRegion
-from repro.core.planindex import PlanIndex
 from repro.core.resources import ResourceSpace
 from repro.core.vectors import CostVector
 from repro.experiments import CensusParams, RunContext, run_experiment
 from repro.experiments.sweeps import (
     monte_carlo_shares,
-    plan_index_for,
     sweep_optimal_totals,
     sweep_winners,
 )
@@ -39,43 +38,51 @@ def _matrix_and_region(m=120, d=4, seed=0):
     return matrix, region
 
 
-def test_sweep_winners_identical_with_and_without_index():
+def _brute_force_winners(matrix, costs):
+    """One probe at a time, first minimum wins."""
+    return np.array([
+        min(range(len(matrix)), key=lambda j: (row @ matrix[j], j))
+        for row in costs
+    ])
+
+
+def test_sweep_winners_match_brute_force_argmin():
     matrix, region = _matrix_and_region()
-    costs = region.sample_matrix(np.random.default_rng(1), 1000)
-    index = PlanIndex(matrix, region, min_plans=1, witness_samples=256)
+    costs = region.sample_matrix(np.random.default_rng(1), 300)
     np.testing.assert_array_equal(
-        sweep_winners(matrix, costs, None),
-        sweep_winners(matrix, costs, index),
+        sweep_winners(matrix, costs),
+        _brute_force_winners(matrix, costs),
     )
 
 
-def test_sweep_optimal_totals_bitwise_across_paths():
+def test_sweep_optimal_totals_are_exact_winner_dots():
     matrix, region = _matrix_and_region(seed=2)
     costs = region.sample_matrix(np.random.default_rng(3), 500)
-    index = PlanIndex(matrix, region, min_plans=1, witness_samples=256)
-    dense_winners, dense_totals = sweep_optimal_totals(
-        matrix, costs, None
+    winners, totals = sweep_optimal_totals(matrix, costs)
+    np.testing.assert_array_equal(
+        winners, np.argmin(costs @ matrix.T, axis=1)
     )
-    index_winners, index_totals = sweep_optimal_totals(
-        matrix, costs, index
+    # Each total is its winner row's own dot product, bit for bit.
+    np.testing.assert_array_equal(
+        totals,
+        [row @ matrix[w] for row, w in zip(costs, winners)],
     )
-    np.testing.assert_array_equal(dense_winners, index_winners)
-    # Totals are recomputed as winner-row dot products on both paths,
-    # so they agree bitwise, not just approximately.
-    np.testing.assert_array_equal(dense_totals, index_totals)
 
 
 def test_monte_carlo_shares_sum_to_one_and_match_dense():
     matrix, region = _matrix_and_region(seed=4)
-    index = PlanIndex(matrix, region, min_plans=1, witness_samples=256)
-    dense = monte_carlo_shares(
-        matrix, region, np.random.default_rng(5), 6000, None
+    shares = monte_carlo_shares(
+        matrix, region, np.random.default_rng(5), 6000
     )
-    indexed = monte_carlo_shares(
-        matrix, region, np.random.default_rng(5), 6000, index
-    )
-    assert dense.sum() == pytest.approx(1.0)
-    np.testing.assert_array_equal(dense, indexed)
+    assert shares.sum() == pytest.approx(1.0)
+    # Replay the same sample stream in the same chunks by hand.
+    rng = np.random.default_rng(5)
+    counts = np.zeros(len(matrix), dtype=np.int64)
+    for take in (4096, 6000 - 4096):
+        samples = region.sample_matrix(rng, take)
+        winners = np.argmin(samples @ matrix.T, axis=1)
+        counts += np.bincount(winners, minlength=len(matrix))
+    np.testing.assert_array_equal(shares, counts / 6000)
 
 
 def test_monte_carlo_shares_rejects_nonpositive_samples():
@@ -86,38 +93,7 @@ def test_monte_carlo_shares_rejects_nonpositive_samples():
         )
 
 
-def test_plan_index_for_respects_activation(monkeypatch):
-    from repro.optimizer.parametric import CandidateSet
-
-    matrix, region = _matrix_and_region(m=6)
-
-    class _Plan:
-        def __init__(self, row, name):
-            self.signature = name
-            self.usage = type("U", (), {"values": row})()
-
-    plans = [_Plan(row, f"p{i}") for i, row in enumerate(matrix[:6])]
-    small = CandidateSet(
-        query_name="toy", plans=plans, region=region, truncated=False
-    )
-    assert plan_index_for(small) is None  # below the threshold
-    monkeypatch.setenv("REPRO_PLAN_INDEX_MIN_PLANS", "1")
-    forced = CandidateSet(
-        query_name="toy", plans=plans, region=region, truncated=False
-    )
-    assert plan_index_for(forced) is not None
-
-
-def test_index_backed_census_serial_vs_jobs2_digest_parity(
-    monkeypatch, catalog, queries
-):
-    """Forcing the index on (threshold 1) must not perturb digests.
-
-    Workers inherit the environment, so the env override reaches the
-    ``--jobs 2`` pool as well; parity proves the index answers match
-    the dense kernel bit-for-bit end to end.
-    """
-    monkeypatch.setenv("REPRO_PLAN_INDEX_MIN_PLANS", "1")
+def test_census_serial_vs_jobs2_digest_parity(catalog, queries):
     params = CensusParams(scenario_key="split")
     subset = {name: queries[name] for name in ("Q6", "Q14")}
     serial_ctx = RunContext(catalog=catalog, queries=subset, jobs=1)
@@ -126,9 +102,3 @@ def test_index_backed_census_serial_vs_jobs2_digest_parity(
     run_experiment("census", params, fanout_ctx)
     assert serial_ctx.result_digests == fanout_ctx.result_digests
     assert serial_ctx.result_digests
-
-    # And the digests match an index-free run of the same census.
-    monkeypatch.setenv("REPRO_NO_PLAN_INDEX", "1")
-    dense_ctx = RunContext(catalog=catalog, queries=subset, jobs=1)
-    run_experiment("census", params, dense_ctx)
-    assert dense_ctx.result_digests == serial_ctx.result_digests

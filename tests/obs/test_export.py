@@ -159,7 +159,7 @@ def test_write_trace_events_produces_loadable_json(tmp_path):
 
 def test_counter_events_validate_and_reject_malformed():
     good = {
-        "name": "planindex.hits", "cat": "metric", "ph": "C",
+        "name": "plancache.hits", "cat": "metric", "ph": "C",
         "ts": 1000.0, "pid": 1, "tid": 0, "args": {"value": 3},
     }
     assert validate_trace_events([good]) == []

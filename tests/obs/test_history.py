@@ -106,7 +106,7 @@ def test_load_missing_store_is_empty(tmp_path):
 # ----------------------------------------------------------------------
 def test_bench_record_ingestion():
     record = {
-        "benchmark": "planindex",
+        "benchmark": "estimation",
         "created_unix": 1754000000.0,
         "git_sha": "ab" * 20,
         "catalog_digest": "cd" * 32,
@@ -118,8 +118,8 @@ def test_bench_record_ingestion():
     }
     entries = bench_history_entries(record, source="BENCH_x.json")
     assert [e["series"] for e in entries] == [
-        "bench:planindex/test_a",
-        "bench:planindex/test_b",
+        "bench:estimation/test_a",
+        "bench:estimation/test_b",
     ]
     assert entries[0]["value_seconds"] == 0.001
     assert entries[0]["git_sha"] == "ab" * 20

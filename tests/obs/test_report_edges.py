@@ -85,9 +85,6 @@ def _decisions_block():
         "near_plane": 2,
         "sampled": 4,
         "paths": {"dense": 10},
-        "fallback_reasons": {
-            "near_tie": 1, "invalid_probe": 0, "weak_certificate": 0,
-        },
         "contexts": {
             "census:Q1": {
                 "probes": 10,
@@ -111,7 +108,6 @@ def test_decisions_block_renders_fragility_table():
     assert "decisions: 10 probes observed, 4 sampled" in rendered
     assert "2 within 0.001 of a switchover plane" in rendered
     assert "lookup paths: dense 10" in rendered
-    assert "fallback reasons: near-tie 1" in rendered
     assert "fragility by context" in rendered
     assert "census:Q1" in rendered
     assert "3/10" in rendered  # wrong / with_reference
@@ -126,26 +122,6 @@ def test_absent_decisions_block_renders_nothing():
     manifest = _manifest()
     manifest["decisions"] = None
     assert "decisions:" not in render_manifest(manifest)
-
-
-def test_planindex_summary_reason_breakdown():
-    rendered = render_manifest(_manifest({"counters": {
-        "planindex.probes": 100,
-        "planindex.exact_fallbacks": 5,
-        "planindex.exact_fallbacks.near_tie": 3,
-        "planindex.exact_fallbacks.weak_certificate": 2,
-    }}))
-    assert "5 dense fallbacks (5.0%)" in rendered
-    assert (
-        "fallback reasons: near-tie 3, invalid-probe 0, "
-        "weak-certificate 2"
-    ) in rendered
-    # Without per-reason counters the base line stands alone.
-    plain = render_manifest(_manifest({"counters": {
-        "planindex.probes": 100,
-    }}))
-    assert "0 dense fallbacks (0.0%)" in plain
-    assert "fallback reasons" not in plain
 
 
 def test_comparison_notes_blocks_absent_in_older_schema():

@@ -123,11 +123,21 @@ class TestJoinGraph:
         )
         assert not query.is_connected()
 
-    def test_neighbors_of_set(self):
-        query = _chain_query()
-        assert query.neighbors_of_set({"A"}) == ("B",)
-        assert set(query.neighbors_of_set({"B"})) == {"A", "C"}
-        assert query.neighbors_of_set({"A", "B", "C"}) == ()
+    def test_two_joined_components_are_disconnected(self):
+        query = QuerySpec(
+            "q",
+            tuple(TableRef(a, f"T{a}") for a in "ABCD"),
+            joins=(
+                JoinPredicate("A", "x", "B", "x"),
+                JoinPredicate("D", "y", "C", "y"),
+            ),
+        )
+        assert not query.is_connected()
+        bridged = QuerySpec(
+            "q", query.tables,
+            joins=query.joins + (JoinPredicate("C", "z", "B", "z"),),
+        )
+        assert bridged.is_connected()
 
     def test_clause_flags(self):
         query = _chain_query()

@@ -1,17 +1,24 @@
 """Wire-protocol rules: quantization, validation, digests."""
 
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.serve import (
+    decide_one,
     decisions_digest,
     parse_decide_request,
     quantize_costs,
     request_key,
     response_core,
 )
-from repro.serve.protocol import CORE_FIELDS, RequestError
+from repro.serve.protocol import (
+    CORE_FIELDS,
+    SERVE_SCHEMA_VERSION,
+    RequestError,
+)
 
 
 def test_quantize_is_idempotent():
@@ -96,8 +103,23 @@ def _response(total: float) -> dict:
         "plane_distance": 0.1,
         "nearest_rival": 1,
         "winner_signature": "IXSCAN(L)",  # outside the core
-        "serve_schema_version": 1,
+        "runner_up_signature": "TBSCAN(L)",
+        "serve_schema_version": SERVE_SCHEMA_VERSION,
     }
+
+
+def test_response_shape_matches_the_schema_version():
+    """The decide response's field set is what the schema version
+    names: v2 is the core plus the signatures and the version."""
+    entry = SimpleNamespace(
+        query="Q6", scenario="split",
+        matrix=np.array([[1.0, 2.0], [2.0, 1.0]]),
+        signatures=("IXSCAN(L)", "TBSCAN(L)"),
+    )
+    response = decide_one(entry, (1.0, 2.0))
+    assert SERVE_SCHEMA_VERSION == 2
+    assert set(response) == set(_response(0.0))
+    assert response["serve_schema_version"] == SERVE_SCHEMA_VERSION
 
 
 def test_response_core_projects_exactly_core_fields():
