@@ -23,9 +23,9 @@ Run via ``python -m repro <command>``:
   on regressions against a baseline (``--compare BASELINE.json``,
   threshold 15% by default; exits 1 on regression);
 * ``serve`` — the long-running online decision server
-  (``POST /v1/decide``): micro-batched, coalescing, warm shared
-  candidate-set store, ``/healthz`` + ``/metrics``, graceful SIGTERM
-  drain;
+  (``POST /v1/decide``): each request answered as it arrives from a
+  warm shared candidate-set store, ``/healthz`` + ``/metrics``,
+  graceful SIGTERM drain;
 * ``loadgen`` — a seeded closed-loop load generator against the
   server (``--qps``/``--duration``), emitting a schema-versioned
   ``BENCH_serve.json`` latency record and optionally digest-verifying
@@ -629,10 +629,6 @@ def _cmd_serve(args: argparse.Namespace, run: _Run) -> int:
         _usage_error("--port must be >= 0 (0 = ephemeral)")
     if args.workers < 1:
         _usage_error("--workers must be >= 1")
-    if args.batch_window <= 0:
-        _usage_error("--batch-window must be > 0 seconds")
-    if args.max_batch < 1:
-        _usage_error("--max-batch must be >= 1")
     if args.quant_digits < 1:
         _usage_error("--quant-digits must be >= 1")
     try:
@@ -657,8 +653,6 @@ def _cmd_serve(args: argparse.Namespace, run: _Run) -> int:
             store_factory=store_factory,
             warm=warm,
             warm_scenario=warm_scenario,
-            window=args.batch_window,
-            max_batch=args.max_batch,
             quant_digits=args.quant_digits,
             reload_interval=(
                 args.reload_interval if args.catalog else 0.0
@@ -709,8 +703,6 @@ def _cmd_loadgen(args: argparse.Namespace, run: _Run) -> int:
     if args.self_serve or not args.url:
         app = ServeApp(
             store,
-            window=args.batch_window,
-            max_batch=args.max_batch,
             quant_digits=args.quant_digits,
             reload_interval=0.0,
         )
@@ -1109,8 +1101,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="long-running online decision server: POST /v1/decide "
              "answers winner/runner-up, margin and switchover-plane "
-             "distance, micro-batched and bit-identical to offline "
-             "`repro explain`",
+             "distance, bit-identical to offline `repro explain`",
     )
     p_serve.add_argument(
         "--host", default="127.0.0.1",
@@ -1127,19 +1118,9 @@ def build_parser() -> argparse.ArgumentParser:
              "over (default 100, matching `repro explain`)",
     )
     p_serve.add_argument(
-        "--batch-window", type=float, default=0.002,
-        metavar="SECONDS",
-        help="micro-batch flush tick (default 0.002s)",
-    )
-    p_serve.add_argument(
-        "--max-batch", type=int, default=1024,
-        help="unique probes per dgemm call; a larger tick splits "
-             "(default 1024)",
-    )
-    p_serve.add_argument(
         "--quant-digits", type=int, default=9,
         help="significant digits incoming cost vectors are quantized "
-             "(and coalesced) to (default 9)",
+             "to (default 9)",
     )
     p_serve.add_argument(
         "--warm", default=None, metavar="Q1,Q5,...",
@@ -1232,15 +1213,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--warmup", type=int, default=4, metavar="N",
         help="unmeasured priming requests before the clock starts "
              "(default 4)",
-    )
-    p_loadgen.add_argument(
-        "--batch-window", type=float, default=0.002,
-        metavar="SECONDS",
-        help="self-serve mode: the in-process server's flush tick",
-    )
-    p_loadgen.add_argument(
-        "--max-batch", type=int, default=1024,
-        help="self-serve mode: the in-process server's dgemm row cap",
     )
     p_loadgen.add_argument(
         "--self-serve", action="store_true",

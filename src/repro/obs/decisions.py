@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -49,6 +50,7 @@ __all__ = [
     "explain_probe",
     "margins_from_totals",
     "plane_distances",
+    "probe_decision",
     "validate_decision_records",
     "write_decision_records",
 ]
@@ -143,56 +145,89 @@ def plane_distances(
     return np.where(np.asarray(margins) == 0.0, 0.0, out)
 
 
-def explain_probe(
+def _probe_decision(
     matrix: np.ndarray, cost: np.ndarray
-) -> dict[str, Any]:
-    """Full provenance of one dense lookup, bit-consistent with the
-    batch path (totals are computed as ``C @ U.T``, same as the
-    kernel).
-
-    Returns winner/runner-up ids and totals, relative margin, nearest
-    switchover plane (rival id + normalized distance), and the
-    single-coordinate cost perturbations that cross that plane.
-    """
+) -> "tuple[dict[str, Any], np.ndarray]":
+    """:func:`probe_decision` and the totals row it was read off."""
     matrix = np.asarray(matrix, dtype=float)
     cost = np.asarray(cost, dtype=float).ravel()
     totals = (cost[None, :] @ matrix.T)[0]
-    _, winner_totals, runner_totals, margins = margins_from_totals(
-        totals[None, :]
-    )
     order = np.argsort(totals, kind="stable")
     winner = int(order[0])
-    margin = float(margins[0])
     result: dict[str, Any] = {
         "candidates": int(matrix.shape[0]),
         "winner": winner,
-        "winner_total": float(winner_totals[0]),
+        "winner_total": float(totals[winner]),
         "runner_up": None,
         "runner_up_total": None,
-        "margin": margin if np.isfinite(margin) else None,
+        "margin": None,
         "plane_distance": None,
         "nearest_rival": None,
-        "crossings": [],
     }
-    if matrix.shape[0] < 2:
-        return result
-    result["runner_up"] = int(order[1])
-    result["runner_up_total"] = float(runner_totals[0])
-
-    diffs = matrix - matrix[winner]
-    norms = np.linalg.norm(diffs, axis=1)
+    if order.size < 2:
+        return result, totals
+    runner = int(order[1])
+    result["runner_up"] = runner
+    result["runner_up_total"] = float(totals[runner])
+    # The scalar forms of margins_from_totals and plane_distances:
+    # the same IEEE operations on the same operands, so the batch
+    # extraction reproduces every field bit for bit.
+    gap = result["runner_up_total"] - result["winner_total"]
+    scale = abs(result["winner_total"])
+    if gap == 0.0:
+        margin = 0.0
+    elif scale > 0.0:
+        margin = gap / scale
+    else:
+        margin = math.inf
+    if math.isfinite(margin):
+        result["margin"] = margin
+    distance = math.inf
+    norms = np.linalg.norm(matrix - matrix[winner], axis=1)
     rivals = np.flatnonzero(norms > 0.0)
-    distance = plane_distances(
-        matrix, cost[None, :], totals[None, :],
-        np.array([winner]), margins,
-    )[0]
-    if np.isfinite(distance):
-        result["plane_distance"] = float(distance)
-    if not rivals.size:
+    if rivals.size:
+        scaled = (totals[rivals] - totals[winner]) / norms[rivals]
+        nearest = int(np.argmin(scaled))
+        result["nearest_rival"] = int(rivals[nearest])
+        cost_norm = float(np.linalg.norm(cost[None, :], axis=1)[0])
+        if cost_norm > 0.0:
+            distance = max(float(scaled[nearest]) / cost_norm, 0.0)
+    if margin == 0.0:
+        distance = 0.0
+    if math.isfinite(distance):
+        result["plane_distance"] = distance
+    return result, totals
+
+
+def probe_decision(
+    matrix: np.ndarray, cost: np.ndarray
+) -> dict[str, Any]:
+    """The decision of one dense lookup, from one ``C @ U.T`` product.
+
+    Returns the candidate count, winner and runner-up ids with their
+    totals, the relative margin, and the nearest switchover plane
+    (rival id + normalized distance) — the fields of a decide
+    response.  ``margin`` is None without a runner-up or for a zero
+    winner total; ``plane_distance`` is None when no rival has a
+    distinct usage vector (0.0 on an exact tie); ``nearest_rival``
+    is None then too.
+    """
+    return _probe_decision(matrix, cost)[0]
+
+
+def explain_probe(
+    matrix: np.ndarray, cost: np.ndarray
+) -> dict[str, Any]:
+    """:func:`probe_decision` plus the single-coordinate cost
+    perturbations that cross the nearest switchover plane."""
+    result, totals = _probe_decision(matrix, cost)
+    result["crossings"] = []
+    nearest = result["nearest_rival"]
+    if nearest is None:
         return result
-    gaps = (totals[rivals] - totals[winner]) / norms[rivals]
-    nearest = int(rivals[np.argmin(gaps)])
-    result["nearest_rival"] = nearest
+    matrix = np.asarray(matrix, dtype=float)
+    cost = np.asarray(cost, dtype=float).ravel()
+    winner = result["winner"]
 
     # Which single-coordinate perturbation of C crosses that plane:
     # solve (U_j - U_w)·C' = 0 varying only coordinate k.

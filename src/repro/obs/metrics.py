@@ -23,6 +23,7 @@ magnitude.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Any, Iterable, Mapping
 
@@ -72,7 +73,26 @@ class Histogram:
         self.nonpositive = 0
 
     def observe(self, value: float) -> None:
-        self.observe_many((value,))
+        """One value; leaves the state ``observe_many((value,))`` would."""
+        value = float(value)
+        if not math.isfinite(value):
+            self.observe_many((value,))
+            return
+        self.count += 1
+        self.total += value
+        self.minimum = value if self.minimum is None else min(
+            self.minimum, value
+        )
+        self.maximum = value if self.maximum is None else max(
+            self.maximum, value
+        )
+        if value > 0.0:
+            # numpy's log10, as in observe_many, so a value next to a
+            # power of ten lands in the same decade on both paths.
+            key = math.floor(np.log10(value))
+            self.decades[key] = self.decades.get(key, 0) + 1
+        else:
+            self.nonpositive += 1
 
     def observe_many(self, values: Iterable[float]) -> None:
         array = np.asarray(

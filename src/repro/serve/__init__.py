@@ -2,16 +2,16 @@
 
 Serves the paper's core question — *which plan wins at this cost
 vector, and how close is the nearest switchover plane?* — as a
-long-running HTTP endpoint (``POST /v1/decide``) with micro-batched
-request handling, a warm shared candidate-set store, and responses
-bitwise identical to offline ``repro explain`` for the same probe.
+long-running HTTP endpoint (``POST /v1/decide``) that answers each
+request as it arrives from a warm shared candidate-set store, with
+responses bitwise identical to offline ``repro explain`` for the same
+probe.
 
 Layering: ``serve`` sits *above* ``experiments`` (it reuses scenario
 wiring and the run-context workload) and below ``cli`` (the ``repro
 serve`` / ``repro loadgen`` subcommands are thin argument shims).
 """
 
-from .batcher import MicroBatcher
 from .decide import decide_group, decide_one, verify_offline
 from .loadgen import build_requests, run_loadgen
 from .protocol import (
@@ -31,7 +31,6 @@ __all__ = [
     "QUANT_DIGITS",
     "SERVE_SCHEMA_VERSION",
     "CandidateStore",
-    "MicroBatcher",
     "RequestError",
     "ServeApp",
     "StoreEntry",

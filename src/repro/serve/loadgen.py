@@ -14,9 +14,10 @@ schema every benchmark module emits): ``results.decide_latency``
 carries the full latency distribution (median/IQR gate through
 ``repro bench --compare``), ``results.decide_p99`` pins the tail as
 its own gated series, and ``extras`` holds achieved QPS, the latency
-percentiles, the server's batch-size histogram and the decisions
-digest.  Medians are appended to the perf-history store so ``repro
-bench trend`` judges serve latency alongside every other series.
+percentiles, the server's request and dgemm counts, its batch-size
+histogram and the decisions digest.  Medians are appended to the
+perf-history store so ``repro bench trend`` judges serve latency
+alongside every other series.
 
 ``--verify-offline`` replays the request stream through the canonical
 single-probe kernel (``serve/decide.py::verify_offline`` — the exact
@@ -341,13 +342,7 @@ def bench_record_from(
         "p99_seconds": result.percentile(99),
         "decisions_digest": result.digest,
         "server_requests": counters.get("serve.requests"),
-        "server_coalesced": counters.get("serve.coalesced"),
         "server_dgemm_calls": counters.get("serve.dgemm_calls"),
-        "server_batch_splits": counters.get("serve.batch_splits"),
-        "server_empty_ticks": counters.get("serve.empty_ticks"),
-        "server_winner_mismatches": counters.get(
-            "serve.winner_mismatches"
-        ),
         "batch_size": histograms.get("serve.batch_size"),
     }
     results = {

@@ -1,21 +1,21 @@
 """The `/v1/decide` wire protocol: quantization, validation, digests.
 
-The online gate the service must pass is *bitwise*: a decide response
-served out of a micro-batch has to carry exactly the numbers offline
-``repro explain`` would print for the same ``(query, C)`` probe.  Two
-protocol rules make that possible:
+The online gate the service must pass is *bitwise*: a served decide
+response has to carry exactly the numbers offline ``repro explain``
+would print for the same ``(query, C)`` probe.  Two protocol rules
+make that possible:
 
 * **Cost quantization.**  Incoming cost vectors are rounded to
   ``QUANT_DIGITS`` significant digits before anything touches them.
   The quantized floats survive a JSON round-trip exactly (floats in
   this range serialize shortest-repr and parse back bit-identically),
   so the server, the load generator and the offline verifier all
-  operate on the same probe.  Quantization is also the coalescing key:
-  two requests that agree to nine significant digits are one decision.
+  operate on the same probe.  Two requests that agree to nine
+  significant digits are one decision (:func:`request_key`).
 * **Canonical response core.**  :func:`response_core` projects a
   response onto the fields that define the decision (ids, totals,
-  margin, plane distance) — dropping serving metadata like batch
-  sizes — and :func:`decisions_digest` hashes the cores in request
+  margin, plane distance) — dropping serving metadata like plan
+  signatures — and :func:`decisions_digest` hashes the cores in request
   order as canonical JSON.  Equal digests mean equal decisions, field
   for field, bit for bit.
 """
@@ -140,7 +140,7 @@ def parse_decide_request(
 
 
 def request_key(request: Mapping[str, Any]) -> tuple:
-    """The coalescing key: identical keys are one decision."""
+    """The decision key: requests with equal keys get equal answers."""
     return (
         request["query"],
         request["scenario"],

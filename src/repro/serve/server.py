@@ -5,17 +5,16 @@ third-party web framework, matching the repository's stdlib+numpy
 dependency budget.  Three routes:
 
 * ``POST /v1/decide`` — body ``{"query", "scenario", "cost_vector"}``;
-  the request is validated and quantized (``serve/protocol.py``),
-  coalesced into the micro-batch queue (``serve/batcher.py``) and
-  answered from the per-tick decide kernel (``serve/decide.py``).
+  the request is validated and quantized (``serve/protocol.py``) and
+  answered on the spot by the decide kernel (``serve/decide.py``).
 * ``GET /healthz`` — liveness + store stats + drain state.
 * ``GET /metrics`` — the process-global obs metrics registry snapshot
   (counters/gauges/histograms), JSON.
 
 Keep-alive is supported (the load generator reuses connections), and
-drain is graceful: SIGTERM/SIGINT stops the listener, lets in-flight
-requests finish through a final batch flush, and exits 0 — the CI
-serve-smoke job asserts exactly that.
+drain is graceful: SIGTERM/SIGINT stops the listener, closes every open
+connection once the request it has read is answered, waits for their
+handlers and exits 0 — the CI serve-smoke job asserts exactly that.
 
 ``--workers N`` pre-forks: the parent binds the listening socket,
 forks N children that each run their own event loop against the
@@ -37,7 +36,6 @@ import sys
 from typing import Any
 
 from ..obs.metrics import METRICS
-from .batcher import MicroBatcher
 from .decide import decide_group
 from .protocol import RequestError, parse_decide_request
 from .store import CandidateStore
@@ -54,54 +52,48 @@ DEFAULT_RELOAD_INTERVAL = 5.0
 
 
 class ServeApp:
-    """One server process: store + batcher + HTTP front end."""
+    """One server process: store + HTTP front end."""
 
     def __init__(
         self,
         store: CandidateStore,
-        window: float = 0.002,
-        max_batch: int = 1024,
         quant_digits: int = 9,
         reload_interval: float = DEFAULT_RELOAD_INTERVAL,
     ) -> None:
         self.store = store
         self.quant_digits = int(quant_digits)
         self.reload_interval = float(reload_interval)
-        self.batcher = MicroBatcher(
-            self._compute, window=window, max_batch=max_batch
-        )
         self.draining = False
         self._server: "asyncio.AbstractServer | None" = None
         self._reloader: "asyncio.Task | None" = None
+        #: Open connections: handler task -> its writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._drained = asyncio.Event()
 
     # ------------------------------------------------------------------
-    # Decide plumbing
+    # Decide
     # ------------------------------------------------------------------
-    def _compute(self, requests: list) -> list:
-        """One batch group -> responses (runs inside a tick flush)."""
-        first = requests[0]
-        entry = self.store.entry(first["query"], first["scenario"])
-        return decide_group(
-            entry, [request["cost"] for request in requests]
-        )
+    def decide(self, payload: Any) -> dict[str, Any]:
+        """Validate one request body and answer it on the spot.
 
-    async def decide(self, payload: Any) -> dict[str, Any]:
+        Unknown queries, unknown scenarios and dimension mismatches
+        raise :class:`RequestError` (HTTP 400).  ``parse_decide_request``
+        and ``decide_group`` are looked up on this module at call time,
+        so a timer wrapped around them there (as the end-to-end
+        benchmark's tracer does) sees every request.
+        """
         request = parse_decide_request(
             payload, digits=self.quant_digits
         )
-        # Resolve the entry before queueing so unknown queries,
-        # unknown scenarios and dimension mismatches fail fast as 400s
-        # instead of poisoning a whole batch group.
         entry = self.store.entry(request["query"], request["scenario"])
-        request["scenario"] = entry.scenario
-        if len(request["cost"]) != entry.dimension:
+        cost = request["cost"]
+        if len(cost) != entry.dimension:
             raise RequestError(
                 f"cost_vector needs {entry.dimension} component(s) "
-                f"({', '.join(entry.names)}), got "
-                f"{len(request['cost'])}"
+                f"({', '.join(entry.names)}), got {len(cost)}"
             )
-        return await self.batcher.submit(request)
+        METRICS.counter("serve.requests").inc()
+        return decide_group(entry, [cost])[0]
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -112,8 +104,7 @@ class ServeApp:
         port: int = 0,
         sock: "socket.socket | None" = None,
     ) -> tuple[str, int]:
-        """Bind (or adopt ``sock``), start ticking; returns (host, port)."""
-        await self.batcher.start()
+        """Bind (or adopt ``sock``); returns (host, port)."""
         if sock is not None:
             self._server = await asyncio.start_server(
                 self._handle, sock=sock
@@ -136,13 +127,24 @@ class ServeApp:
                 logger.exception("catalog reload failed")
 
     async def drain(self) -> None:
-        """Stop accepting, flush in-flight work, release the port."""
+        """Stop accepting, close open connections, stop the reloader.
+
+        A decide is answered without an await, so a handler is either
+        waiting for its next request or flushing a reply, and closing
+        its writer (which flushes first) loses no request it has read.
+        Handlers still parked in ``readline`` when the loop shuts down
+        would be cancelled, which Python 3.11 logs as callback errors.
+        """
         if self.draining:
             await self._drained.wait()
             return
         self.draining = True
         if self._server is not None:
             self._server.close()
+        for writer in self._connections.values():
+            writer.close()
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
         if self._reloader is not None:
             self._reloader.cancel()
@@ -150,7 +152,6 @@ class ServeApp:
                 await self._reloader
             except asyncio.CancelledError:
                 pass
-        await self.batcher.stop()
         self._drained.set()
         logger.info("drained: all in-flight requests answered")
 
@@ -162,6 +163,8 @@ class ServeApp:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 keep_alive = await self._one_request(reader, writer)
@@ -179,6 +182,7 @@ class ServeApp:
             # loop shuts down right after drain, and asyncio logs
             # their cancellation as spurious callback errors.
             writer.close()
+            del self._connections[task]
 
     async def _one_request(self, reader, writer) -> bool:
         request_line = await reader.readline()
@@ -229,7 +233,6 @@ class ServeApp:
             return 200, {
                 "status": "draining" if self.draining else "ok",
                 "pid": os.getpid(),
-                "pending": self.batcher.depth,
                 "store": self.store.stats(),
             }
         if path == "/metrics":
@@ -246,7 +249,7 @@ class ServeApp:
             except ValueError:
                 return 400, {"error": "request body is not JSON"}
             try:
-                return 200, await self.decide(payload)
+                return 200, self.decide(payload)
             except RequestError as exc:
                 return 400, {"error": str(exc)}
             except Exception:
@@ -365,8 +368,6 @@ def run_server(
     store_factory,
     warm: "tuple[str, ...]" = (),
     warm_scenario: str = "split",
-    window: float = 0.002,
-    max_batch: int = 1024,
     quant_digits: int = 9,
     reload_interval: float = DEFAULT_RELOAD_INTERVAL,
     workers: int = 1,
@@ -390,8 +391,6 @@ def run_server(
             )
         return ServeApp(
             store,
-            window=window,
-            max_batch=max_batch,
             quant_digits=quant_digits,
             reload_interval=reload_interval,
         )

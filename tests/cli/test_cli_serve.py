@@ -19,8 +19,6 @@ def test_serve_parser_defaults():
     assert args.host == "127.0.0.1"
     assert args.port == 8787
     assert args.workers == 1
-    assert args.batch_window == 0.002
-    assert args.max_batch == 1024
     assert args.quant_digits == 9
     assert args.warm_scenario == "split"
     assert args.reload_interval == 5.0
@@ -43,6 +41,8 @@ def test_loadgen_parser_defaults():
     [
         (["serve", "--workers", "0"], "--workers"),
         (["serve", "--port", "-1"], "--port"),
+        # Requests are answered inline: the batching flags are gone
+        # and argparse rejects them as unrecognized arguments.
         (["serve", "--batch-window", "0"], "--batch-window"),
         (["serve", "--max-batch", "0"], "--max-batch"),
         (["serve", "--quant-digits", "0"], "--quant-digits"),
@@ -158,11 +158,13 @@ def test_serve_help_lists_the_serving_flags(capsys):
     assert excinfo.value.code == 0
     text = capsys.readouterr().out
     for flag in (
-        "--warm", "--batch-window", "--max-batch", "--workers",
+        "--warm", "--workers",
         "--catalog", "--reload-interval", "--quant-digits",
         "--no-cache", "--cache-dir",
     ):
         assert flag in text
+    assert "--batch-window" not in text
+    assert "--max-batch" not in text
 
 
 def test_top_level_help_names_the_decide_endpoint(capsys):

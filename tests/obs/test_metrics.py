@@ -1,6 +1,7 @@
 """Metrics registry: counters, gauges, decade histograms, merging."""
 
 import numpy as np
+import pytest
 
 from repro.obs import METRICS, Histogram, MetricsRegistry
 
@@ -40,6 +41,28 @@ def test_observe_many_accepts_ndarray():
     h.observe_many(np.empty(0))
     assert h.count == 3
     assert h.state()["decades"] == {"0": 1, "1": 1, "2": 1}
+
+
+def _scalar_observe_values():
+    values = [0.0, -2.5, float("inf"), float("nan")]
+    for exponent in range(-12, 13):
+        power = 10.0 ** exponent
+        values += [
+            np.nextafter(power, 0.0), power, np.nextafter(power, np.inf)
+        ]
+    return values
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+@pytest.mark.parametrize("value", _scalar_observe_values(), ids=repr)
+def test_observe_matches_observe_many_of_one(value):
+    scalar, many = Histogram(), Histogram()
+    for histogram in (scalar, many):
+        histogram.observe_many([3.0, 0.02])
+    scalar.observe(value)
+    many.observe_many((value,))
+    # repr, not ==: a nan sum or bound must match too.
+    assert repr(scalar.state()) == repr(many.state())
 
 
 def test_snapshot_merge_equals_serial_totals():

@@ -78,7 +78,7 @@ def _result(count=20, metrics=None):
 def test_bench_record_validates_and_carries_the_gate_series():
     result = _result(
         metrics={
-            "counters": {"serve.requests": 20, "serve.coalesced": 0},
+            "counters": {"serve.requests": 20, "serve.dgemm_calls": 20},
             "histograms": {"serve.batch_size": {"count": 20}},
         }
     )
@@ -97,7 +97,13 @@ def test_bench_record_validates_and_carries_the_gate_series():
     assert extras["decisions_digest"] == result.digest
     assert extras["achieved_qps"] == result.achieved_qps
     assert extras["server_requests"] == 20
+    assert extras["server_dgemm_calls"] == 20
     assert extras["batch_size"] == {"count": 20}
+    for dropped in (
+        "server_coalesced", "server_batch_splits", "server_empty_ticks",
+        "server_winner_mismatches",
+    ):
+        assert dropped not in extras
 
 
 def test_self_serve_loadgen_end_to_end(tmp_path, capsys):

@@ -17,7 +17,6 @@ import threading
 from pathlib import Path
 
 import repro
-from repro.obs.metrics import METRICS
 from repro.serve import ServeApp, decide_one
 from repro.serve.loadgen import _Connection
 from repro.serve.protocol import quantize_costs
@@ -137,30 +136,53 @@ def test_malformed_json_is_a_400(warm_store):
     _run_with_server(warm_store, scenario)
 
 
-def test_concurrent_duplicates_coalesce_to_one_computation(
-    warm_store, q6_entry
-):
-    async def runner():
-        app = _app(warm_store, window=60.0)
-        await app.batcher.start()
-        body = {
-            "query": "Q6",
-            "scenario": "split",
-            "cost_vector": _probe(q6_entry),
-        }
-        tasks = [
-            asyncio.ensure_future(app.decide(body)) for _ in range(4)
-        ]
-        await asyncio.sleep(0)  # let every submit register
-        assert app.batcher.depth == 1
-        assert METRICS.counter("serve.coalesced").value == 3
-        app.batcher.flush_now()
-        answers = await asyncio.gather(*tasks)
-        assert answers == [answers[0]] * 4
-        assert METRICS.counter("serve.dgemm_calls").value == 1
-        await app.batcher.stop()
+def test_metrics_count_one_decide_call_per_request(warm_store, q6_entry):
+    async def scenario(app, conn):
+        body = {"query": "Q6", "cost_vector": _probe(q6_entry)}
+        status, _ = await conn.post("/v1/decide", body)
+        assert status == 200
+        return await conn.get("/metrics")
 
-    asyncio.run(runner())
+    status, snapshot = _run_with_server(warm_store, scenario)
+    assert status == 200
+    counters = snapshot["counters"]
+    for name in ("serve.requests", "serve.batches", "serve.dgemm_calls"):
+        assert counters[name] == 1, name
+    batch_size = snapshot["histograms"]["serve.batch_size"]
+    assert batch_size["count"] == 1 and batch_size["sum"] == 1
+
+
+def test_request_path_looks_up_its_hooks_at_call_time(
+    warm_store, q6_entry, monkeypatch
+):
+    """A wrapper installed on the server module (as the benchmark's
+    tracer does) sees every request exactly once."""
+    from repro.serve import server
+
+    calls = {"parse_decide_request": 0, "decide_group": 0}
+
+    def counting(name):
+        original = getattr(server, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(server, name, wrapper)
+
+    counting("parse_decide_request")
+    counting("decide_group")
+
+    async def scenario(app, conn):
+        for _ in range(3):
+            status, _ = await conn.post(
+                "/v1/decide",
+                {"query": "Q6", "cost_vector": _probe(q6_entry)},
+            )
+            assert status == 200
+
+    _run_with_server(warm_store, scenario)
+    assert calls == {"parse_decide_request": 3, "decide_group": 3}
 
 
 def test_draining_server_rejects_new_decides(warm_store, q6_entry):
@@ -184,6 +206,27 @@ def test_draining_server_rejects_new_decides(warm_store, q6_entry):
         )
         assert status == 503
         assert payload["error"] == "draining"
+
+    asyncio.run(runner())
+
+
+def test_drain_closes_idle_keep_alive_connections(warm_store, q6_entry):
+    """Drain ends every connection handler, so none is left for the
+    loop to cancel at shutdown."""
+
+    async def runner():
+        app = _app(warm_store)
+        host, port = await app.start("127.0.0.1", 0)
+        conn = _Connection(host, port)
+        status, _ = await conn.post(
+            "/v1/decide",
+            {"query": "Q6", "cost_vector": _probe(q6_entry)},
+        )
+        assert status == 200
+        await asyncio.wait_for(app.drain(), timeout=10)
+        assert app._connections == {}
+        assert await conn.reader.read() == b""  # closed by the server
+        conn.close()
 
     asyncio.run(runner())
 
