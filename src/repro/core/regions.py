@@ -29,30 +29,42 @@ from .feasible import FeasibleRegion
 from .geometry import switchover_point_in_box
 from .vectors import CostVector, UsageVector
 
-__all__ = ["RegionOfInfluence", "InfluenceDiagram"]
+__all__ = ["RegionOfInfluence", "InfluenceDiagram", "winner_counts"]
 
-#: Chunk size of the vectorised Monte-Carlo sweeps below.
-_MC_CHUNK = 4096
+#: Rows per Monte-Carlo chunk: bounds the peak memory of every
+#: Monte-Carlo sweep and fixes how the sample stream is drawn.
+MC_CHUNK = 4096
 
 
-def _winner_counts(
+def _argmin_winners(matrix: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    return np.argmin(samples @ matrix.T, axis=1)
+
+
+def winner_counts(
     matrix: np.ndarray,
     region: FeasibleRegion,
     rng: np.random.Generator,
     n_samples: int,
+    winners=_argmin_winners,
 ) -> np.ndarray:
     """Monte-Carlo winner histogram over the feasible region.
 
-    One batched ``S @ U.T`` + row argmin per chunk instead of a Python
-    loop per sample.
+    Samples are drawn log-uniformly per variation group (the region's
+    natural measure) in chunks of :data:`MC_CHUNK` rows.
+    ``winners(matrix, samples)`` names the plan each sample picks; the
+    default is the first-min argmin of one batched ``S @ U.T`` per
+    chunk.
     """
+    if n_samples <= 0:
+        raise ValueError("n_samples must be positive")
     counts = np.zeros(matrix.shape[0], dtype=np.int64)
     remaining = n_samples
     while remaining > 0:
-        take = min(remaining, _MC_CHUNK)
+        take = min(remaining, MC_CHUNK)
         samples = region.sample_matrix(rng, take)
-        winners = np.argmin(samples @ matrix.T, axis=1)
-        counts += np.bincount(winners, minlength=len(counts))
+        counts += np.bincount(
+            winners(matrix, samples), minlength=len(counts)
+        )
         remaining -= take
     return counts
 
@@ -115,9 +127,7 @@ class RegionOfInfluence:
         sum to ~1.  Vectorised: one batched ``S @ U.T`` + argmin per
         chunk instead of a per-sample Python loop.
         """
-        if n_samples <= 0:
-            raise ValueError("n_samples must be positive")
-        counts = _winner_counts(
+        counts = winner_counts(
             self._usage_matrix, self.region, rng, n_samples
         )
         return int(counts[self.plan_index]) / n_samples
@@ -196,7 +206,5 @@ class InfluenceDiagram:
         Vectorised (chunked ``S @ U.T`` + argmin) — the sampling
         stream matches the old per-sample loop point for point.
         """
-        counts = _winner_counts(
-            self._matrix, self._region, rng, n_samples
-        )
+        counts = winner_counts(self._matrix, self._region, rng, n_samples)
         return counts / n_samples

@@ -20,7 +20,23 @@ import numpy as np
 
 from .resources import ResourceSpace
 
-__all__ = ["UsageVector", "CostVector"]
+__all__ = ["UsageVector", "CostVector", "validate_usage_rows"]
+
+
+def validate_usage_rows(space: ResourceSpace, rows: np.ndarray) -> None:
+    """Check one usage row, or a stack of them, as :class:`UsageVector`
+    checks one: the same ``ValueError`` for a non-finite component, and
+    for a negative one, naming every resource that has one."""
+    if not np.isfinite(rows).all():
+        raise ValueError("vector components must be finite")
+    _require_nonnegative(space, rows)
+
+
+def _require_nonnegative(space: ResourceSpace, rows: np.ndarray) -> None:
+    if (rows < 0).any():
+        negative = (rows < 0).reshape(-1, space.dimension).any(axis=0)
+        bad = [name for name, flag in zip(space.names, negative) if flag]
+        raise ValueError(f"usage components must be >= 0 (bad: {bad})")
 
 
 def _as_array(
@@ -134,13 +150,7 @@ class UsageVector(_BoundVector):
     """
 
     def _validate(self, array: np.ndarray) -> None:
-        if (array < 0).any():
-            bad = [
-                name
-                for name, value in zip(self._space.names, array)
-                if value < 0
-            ]
-            raise ValueError(f"usage components must be >= 0 (bad: {bad})")
+        _require_nonnegative(self._space, array)
 
     # ------------------------------------------------------------------
     def dot(self, cost: "CostVector") -> float:

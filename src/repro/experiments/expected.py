@@ -21,6 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from ..catalog.statistics import Catalog
+from ..core.regions import MC_CHUNK
 from ..obs.decisions import DECISIONS
 from ..obs.metrics import METRICS
 from ..obs.trace import span
@@ -29,7 +30,7 @@ from ..optimizer.plancache import PlanCache, cached_candidate_plans
 from ..optimizer.query import QuerySpec
 from .engine import Experiment, RunContext, register_experiment, run_experiment
 from .scenarios import Scenario, scenario
-from .sweeps import MC_CHUNK, sweep_optimal_totals
+from .sweeps import sweep_optimal_totals
 
 __all__ = [
     "ExpectedRegret",

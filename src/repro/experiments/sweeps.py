@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.feasible import FeasibleRegion
+from ..core.regions import winner_counts
 from ..obs.decisions import DECISIONS
 
 __all__ = [
@@ -25,9 +26,6 @@ __all__ = [
     "sweep_optimal_totals",
     "monte_carlo_shares",
 ]
-
-#: Rows per Monte-Carlo chunk (bounds peak memory of the sweeps).
-MC_CHUNK = 4096
 
 
 def sweep_winners(
@@ -79,19 +77,13 @@ def monte_carlo_shares(
 ) -> np.ndarray:
     """Monte-Carlo share of the feasible region each plan rules.
 
-    Log-uniform sampling per variation group (the region's natural
-    measure), chunked so memory stays bounded; the shares of all plans
-    sum to 1.  ``reference`` is forwarded to the decision log so
+    The sample loop of :func:`repro.core.regions.winner_counts`, with
+    each chunk decided by :func:`sweep_winners`; the shares of all
+    plans sum to 1.  ``reference`` is forwarded to the decision log so
     ``--decisions`` runs can count wrong choices per probe.
     """
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
-    counts = np.zeros(matrix.shape[0], dtype=np.int64)
-    remaining = n_samples
-    while remaining > 0:
-        take = min(remaining, MC_CHUNK)
-        samples = region.sample_matrix(rng, take)
-        winners = sweep_winners(matrix, samples, reference)
-        counts += np.bincount(winners, minlength=len(counts))
-        remaining -= take
+    counts = winner_counts(
+        matrix, region, rng, n_samples,
+        lambda plans, samples: sweep_winners(plans, samples, reference),
+    )
     return counts / n_samples

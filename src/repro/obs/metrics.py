@@ -18,7 +18,9 @@ Histograms keep exact ``count/sum/min/max`` plus per-decade bucket
 counts (bucket = ``floor(log10(value))``), which is mergeable without
 coordination and is the right resolution for the quantities tracked
 here — regret ratios and probe counts spanning many orders of
-magnitude.
+magnitude.  Non-finite values (``inf``, ``-inf``, ``nan``) have no
+decade and would poison the sum and the bounds, so they are only
+counted, apart from everything else.
 """
 
 from __future__ import annotations
@@ -57,10 +59,15 @@ class Gauge:
 
 
 class Histogram:
-    """Exact count/sum/min/max plus per-decade bucket counts."""
+    """Exact count/sum/min/max plus per-decade bucket counts.
+
+    ``count``, ``sum``, ``min``, ``max``, ``decades`` and
+    ``nonpositive`` describe the finite values; ``nonfinite`` counts
+    the rest.
+    """
 
     __slots__ = ("count", "total", "minimum", "maximum", "decades",
-                 "nonpositive")
+                 "nonpositive", "nonfinite")
 
     def __init__(self) -> None:
         self.count = 0
@@ -71,12 +78,14 @@ class Histogram:
         self.decades: dict[int, int] = {}
         #: values <= 0 have no decade; counted separately.
         self.nonpositive = 0
+        #: inf, -inf and nan: counted here and nowhere else.
+        self.nonfinite = 0
 
     def observe(self, value: float) -> None:
         """One value; leaves the state ``observe_many((value,))`` would."""
         value = float(value)
         if not math.isfinite(value):
-            self.observe_many((value,))
+            self.nonfinite += 1
             return
         self.count += 1
         self.total += value
@@ -99,6 +108,10 @@ class Histogram:
             values if isinstance(values, np.ndarray) else list(values),
             dtype=float,
         ).ravel()
+        finite = np.isfinite(array)
+        if not finite.all():
+            self.nonfinite += int(array.size - finite.sum())
+            array = array[finite]
         if not array.size:
             return
         self.count += int(array.size)
@@ -138,6 +151,7 @@ class Histogram:
                 for exponent, count in sorted(self.decades.items())
             },
             "nonpositive": self.nonpositive,
+            "nonfinite": self.nonfinite,
         }
 
     def merge_state(self, state: Mapping[str, Any]) -> None:
@@ -161,6 +175,9 @@ class Histogram:
                 self.decades.get(exponent, 0) + int(count)
             )
         self.nonpositive += int(state.get("nonpositive", 0))
+        # States written before non-finite values were kept apart lack
+        # the key.
+        self.nonfinite += int(state.get("nonfinite", 0))
 
 
 class MetricsRegistry:

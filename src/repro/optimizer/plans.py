@@ -1,8 +1,8 @@
 """Physical plan trees and their EXPLAIN-style signatures.
 
 Plan nodes are immutable and carry only *structure*; costs live in the
-:class:`~repro.optimizer.operators.CostedPlan` wrappers the enumerator
-builds.  Signatures are deterministic strings (DB2's EXPLAIN output
+enumerator's row matrices and, for the plans it returns, in
+:class:`~repro.optimizer.dp.CostedPlan` wrappers.  Signatures are deterministic strings (DB2's EXPLAIN output
 played this role in the paper: "enough information to identify each
 plan uniquely", Section 7.1).
 """

@@ -1,5 +1,7 @@
 """Metrics registry: counters, gauges, decade histograms, merging."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,7 +55,6 @@ def _scalar_observe_values():
     return values
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
 @pytest.mark.parametrize("value", _scalar_observe_values(), ids=repr)
 def test_observe_matches_observe_many_of_one(value):
     scalar, many = Histogram(), Histogram()
@@ -61,8 +62,44 @@ def test_observe_matches_observe_many_of_one(value):
         histogram.observe_many([3.0, 0.02])
     scalar.observe(value)
     many.observe_many((value,))
-    # repr, not ==: a nan sum or bound must match too.
-    assert repr(scalar.state()) == repr(many.state())
+    assert scalar.state() == many.state()
+
+
+@pytest.mark.parametrize(
+    "value", [float("inf"), float("-inf"), float("nan")], ids=repr
+)
+def test_nonfinite_values_are_counted_apart(value):
+    scalar, many = Histogram(), Histogram()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for histogram in (scalar, many):
+            histogram.observe_many([3.0, 0.02])
+        scalar.observe(value)
+        many.observe_many((value,))
+        many.observe_many(np.array([value, 5.0]))
+        scalar.observe(5.0)
+        scalar.observe(value)
+    assert scalar.state() == many.state() == {
+        "count": 3,
+        "sum": 8.02,
+        "min": 0.02,
+        "max": 5.0,
+        "decades": {"-2": 1, "0": 2},
+        "nonpositive": 0,
+        "nonfinite": 2,
+    }
+
+
+def test_merge_state_accepts_states_without_nonfinite():
+    histogram = Histogram()
+    histogram.observe(float("inf"))
+    older = Histogram().state()
+    del older["nonfinite"]
+    older.update(count=1, sum=2.0, min=2.0, max=2.0, decades={"0": 1})
+    histogram.merge_state(older)
+    state = histogram.state()
+    assert state["count"] == 1 and state["sum"] == 2.0
+    assert state["nonfinite"] == 1
 
 
 def test_snapshot_merge_equals_serial_totals():

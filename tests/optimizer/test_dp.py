@@ -5,11 +5,10 @@ import pytest
 
 from repro.catalog import build_tpch_catalog
 from repro.core.candidates import pareto_undominated_indices
-from repro.core.vectors import CostVector, UsageVector
+from repro.core.vectors import CostVector
 from repro.experiments.scenarios import scenario
 from repro.optimizer.config import DEFAULT_PARAMETERS
 from repro.optimizer.dp import (
-    CostedPlan,
     ParetoPruner,
     PlanEnumerator,
     ScalarPruner,
@@ -162,19 +161,16 @@ class TestParametricMode:
         with pytest.raises(ValueError):
             ParetoPruner(cell_cap=10)
 
-    def test_unordered_plan_prunes_an_ordered_one(self, catalog):
+    def test_unordered_plan_prunes_an_ordered_one(self):
         """The rule the pruner applies, whether or not it is sound."""
-        layout = _layout(_query())
-        space = layout.space
-        cheap = CostedPlan(None, UsageVector(space, [1.0, 1.0, 1.0]), 1.0)
-        ordered = CostedPlan(
-            None,
-            UsageVector(space, [2.0, 2.0, 2.0]),
-            1.0,
-            order=("O", "O_ORDERKEY"),
-        )
-        assert ParetoPruner().prune([cheap, ordered]) == [cheap]
-        assert ParetoPruner().prune([ordered, cheap]) == [cheap]
+        cheap, ordered = [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]
+        order = ("O", "O_ORDERKEY")
+        assert ParetoPruner().prune(
+            np.array([cheap, ordered]), [None, order]
+        ) == [0]
+        assert ParetoPruner().prune(
+            np.array([ordered, cheap]), [order, None]
+        ) == [1]
 
     @pytest.mark.xfail(
         strict=True,
@@ -202,15 +198,23 @@ class TestParametricMode:
         assert cheapest_root <= best.usage.dot(cost) * (1 + 1e-9)
 
 
+def _rows(plans):
+    """The row-pruner inputs of a plan list: usage rows and orders."""
+    return (
+        np.vstack([plan.usage.values for plan in plans]),
+        [plan.order for plan in plans],
+    )
+
+
 class TestPruners:
     def test_scalar_pruner_keeps_ordered_winners(self, catalog):
         query = _query()
         layout = _layout(query)
         enum = PlanEnumerator(query, catalog, DEFAULT_PARAMETERS, layout)
         plans = enum.base_plans("O")
-        pruned = ScalarPruner(layout.center_costs()).prune(plans)
-        orders = {p.order for p in pruned}
-        assert len(pruned) == len(orders)  # one winner per order group
+        kept = ScalarPruner(layout.center_costs()).prune(*_rows(plans))
+        orders = {plans[i].order for i in kept}
+        assert len(kept) == len(orders)  # one winner per order group
 
     def test_pareto_pruner_removes_dominated(self, catalog):
         query = _query()
@@ -218,9 +222,10 @@ class TestPruners:
         enum = PlanEnumerator(query, catalog, DEFAULT_PARAMETERS, layout)
         plans = enum.base_plans("L")
         doubled = plans + plans  # duplicates must collapse
-        pruned = ParetoPruner().prune(doubled)
-        signatures = [p.signature for p in pruned]
+        kept = ParetoPruner().prune(*_rows(doubled))
+        signatures = [doubled[i].signature for i in kept]
         assert len(signatures) == len(set(signatures))
+        assert max(kept) < len(plans)  # the first copy is the one kept
 
 
 class TestStructure:

@@ -11,9 +11,12 @@ computed from:
   ``census --generated`` defaults: colocated, widest regime delta,
   cell cap 16).
 
-The pinned value was computed with the pairwise-loop pruner and an LP
-per surviving plan.  Array-level rewrites of the pruner, of usage
-vector construction and of the LP filter must reproduce it exactly.
+The pinned value was computed with the object-level enumerator (one
+``CostedPlan`` per candidate, as kept in
+``tests/optimizer/test_enumeration_oracle.py``), the pairwise-loop
+pruner and an LP per surviving plan.  Array-level rewrites of the
+enumerator, the pruner, usage vector construction and the LP filter
+must reproduce it exactly; the array-level enumerator does.
 Run this file as a script to print the digest of the checkout.
 """
 

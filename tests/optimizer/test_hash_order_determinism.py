@@ -10,6 +10,11 @@ but decision-provenance records expose the raw floats, so serial and
 sorts alias sets before folding; this test pins that by hashing one
 generated query's usage matrix under two hash seeds that produced
 distinct matrices before the fix.
+
+The array-level DP adds dicts of its own: order keys mapped to ids,
+and one back-pointer per kept row.  A second check hashes the
+truncated split Q8 root set, signatures and usage bytes in order,
+under the same two seeds.
 """
 
 import os
@@ -40,12 +45,37 @@ sys.stdout.write(hashlib.sha256(matrix.tobytes()).hexdigest())
 """
 
 
-def _matrix_digest(hash_seed: int) -> str:
+_ROOT_SET_SCRIPT = """
+import hashlib
+import sys
+
+from repro.catalog import build_tpch_catalog
+from repro.experiments.scenarios import scenario
+from repro.optimizer import DEFAULT_PARAMETERS
+from repro.optimizer.dp import enumerate_root_plans
+from repro.workloads.tpch_queries import tpch_query
+
+catalog = build_tpch_catalog()
+query = tpch_query("Q8", catalog)
+layout = scenario("split").layout_for(query)
+plans, truncated = enumerate_root_plans(
+    query, catalog, DEFAULT_PARAMETERS, layout, cell_cap=64
+)
+assert truncated
+digest = hashlib.sha256()
+for plan in plans:
+    digest.update(plan.signature.encode())
+    digest.update(plan.usage.values.tobytes())
+sys.stdout.write(digest.hexdigest())
+"""
+
+
+def _digest(hash_seed: int, script: str = _SCRIPT) -> str:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = str(hash_seed)
     env["PYTHONPATH"] = str(_SRC)
     result = subprocess.run(
-        [sys.executable, "-c", _SCRIPT],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         env=env,
@@ -59,4 +89,8 @@ def test_usage_matrix_is_hash_seed_independent():
     # Seeds 0 and 3 disagreed at the ulp level before alias sets were
     # iterated in sorted order (see selectivity.join_rows and
     # dp.PlanEnumerator.enumerate).
-    assert _matrix_digest(0) == _matrix_digest(3)
+    assert _digest(0) == _digest(3)
+
+
+def test_root_set_is_hash_seed_independent():
+    assert _digest(0, _ROOT_SET_SCRIPT) == _digest(3, _ROOT_SET_SCRIPT)

@@ -1,12 +1,12 @@
 """The broadcast Pareto pruner against the pairwise loop it replaced.
 
 ``ParetoPruner.prune`` decides each newcomer with two broadcasts over
-a stacked matrix of kept rows.  It must return the same plan objects,
-in the same order and with the same ``truncated`` flag, as the loop
-below, which compares a newcomer with one kept plan at a time.  The
-inputs stress what the loop's answer depends on: exact duplicates
-(equal rows and repeated objects), rows a tolerance apart in either
-direction, the three-way order rule, and the cap's tie-break.
+a stacked matrix of kept rows.  It must keep the same rows, in the
+same order and with the same ``truncated`` flag, as the loop below,
+which compares a newcomer with one kept plan at a time.  The inputs
+stress what the loop's answer depends on: exact duplicates (equal
+rows, and plans arriving more than once), rows a tolerance apart in
+either direction, the three-way order rule, and the cap's tie-break.
 """
 
 import numpy as np
@@ -54,6 +54,15 @@ def _loop_prune(plans, tol, cap, center):
     return kept, truncated
 
 
+class _Arrival:
+    """One arrival of a plan: the plan's fields plus its position."""
+
+    def __init__(self, plan, position):
+        self.usage = plan.usage
+        self.order = plan.order
+        self.position = position
+
+
 _component = st.builds(
     lambda base, nudge: base + nudge,
     st.sampled_from([1.0, 2.0, 3.0]),
@@ -85,7 +94,11 @@ def _arrivals(draw):
 @settings(max_examples=300, deadline=None)
 def test_broadcast_pruner_matches_pairwise_loop(plans, cap):
     pruner = ParetoPruner(tol=TOL, cell_cap=cap, center=CENTER)
-    result = pruner.prune(plans)
-    expected, truncated = _loop_prune(plans, TOL, cap, CENTER)
-    assert [id(plan) for plan in result] == [id(plan) for plan in expected]
+    usage = np.array([plan.usage.values for plan in plans]).reshape(-1, 3)
+    result = pruner.prune(usage, [plan.order for plan in plans])
+    # Positions, so that a plan arriving twice is told apart.
+    expected, truncated = _loop_prune(
+        [_Arrival(plan, i) for i, plan in enumerate(plans)], TOL, cap, CENTER
+    )
+    assert result == [arrival.position for arrival in expected]
     assert pruner.truncated == truncated
