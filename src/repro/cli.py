@@ -58,19 +58,15 @@ git SHA, configuration, RNG seeds, a catalog digest, SHA-256 digests of
 the rendered results, and a metrics snapshot — all assembled from the
 run's :class:`~repro.experiments.engine.RunContext`; ``--trace``
 additionally records the span tree, ``--trace-out PATH`` also exports
-it in Trace Event format for ``ui.perfetto.dev``, ``--memprof``
-samples tracemalloc/RSS at every span boundary, ``--profile`` samples
+it in Trace Event format for ``ui.perfetto.dev``, ``--profile`` samples
 the Python stack ~101 times/s (``--profile-hz``) and writes a
 speedscope JSON + folded-stack flamegraph input (``--profile-out``;
 merged across ``--jobs`` workers, summarised as a hot-function table
-in the manifest), ``--timeseries`` snapshots every metric counter
-periodically (counter tracks in ``--trace-out``, counter curves in
-the manifest), ``--decisions`` records decision provenance (margin
+in the manifest), ``--decisions`` records decision provenance (margin
 decade-histograms, near-plane fractions, a deterministic bottom-k
 sample of explain records — ``--decisions-sample K`` sizes it,
 ``--decisions-out PATH`` exports it as JSONL, and sampled decisions
-additionally land in ``--trace-out`` as instant events),
-``--metrics-out PATH`` dumps the raw metrics, and
+additionally land in ``--trace-out`` as instant events), and
 ``--log-level debug`` surfaces the library's loggers.  Long sweeps
 render a live progress meter on stderr
 when it is a TTY and the log level is below WARNING (force with
@@ -84,8 +80,8 @@ backoff; ``skip`` finishes the sweep with holes recorded in the
 manifest's ``tasks.failed``), ``--checkpoint`` to journal finished
 tasks into a content-addressed run directory and ``--resume [RUN_ID]``
 to pick an interrupted run back up re-executing only unfinished tasks,
-plus ``--inject-faults SPEC`` (or ``$REPRO_FAULTS``) to deterministically
-inject raise/hang/kill faults for testing — all keyed by ``--seed``.
+plus ``--inject-faults SPEC`` to deterministically inject
+raise/hang/kill faults for testing — all keyed by ``--seed``.
 
 Usage errors (unknown query or scenario names, unknown devices, bad
 fault specs, a ``--resume`` id that does not match the configuration)
@@ -96,7 +92,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Any, NoReturn, Sequence
@@ -117,12 +112,10 @@ from .experiments.scenarios import (
 )
 from .obs import (
     DECISIONS,
-    MEMPROF,
     METRICS,
     ON_ERROR_MODES,
     PROFILER,
     PROGRESS,
-    TIMESERIES,
     TRACER,
     FaultPlan,
     FaultSpecError,
@@ -152,6 +145,7 @@ from .obs import (
     write_manifest,
     write_speedscope,
     write_trace_events,
+    wrong_choice_by_decade,
 )
 
 __all__ = ["main", "build_parser"]
@@ -174,10 +168,7 @@ def _resilience_from_args(
 ) -> "tuple[RetryPolicy | None, FaultPlan | None]":
     """The retry policy and fault plan the parsed flags describe.
 
-    ``--inject-faults`` falls back to the ``REPRO_FAULTS`` environment
-    variable, so CI (and chaos experiments) can inject faults without
-    touching every command line.  Bad specs and bad policy values are
-    usage errors (exit 2).
+    Bad fault specs and bad policy values are usage errors (exit 2).
     """
     seed = getattr(args, "seed", 0)
     try:
@@ -190,8 +181,6 @@ def _resilience_from_args(
     except ValueError as exc:
         _usage_error(str(exc))
     spec = getattr(args, "inject_faults", None)
-    if spec is None:
-        spec = os.environ.get("REPRO_FAULTS") or None
     faults = None
     if spec:
         try:
@@ -770,11 +759,6 @@ def _obs_flags(p: argparse.ArgumentParser) -> None:
              "Event file (implies --trace)",
     )
     p.add_argument(
-        "--memprof", action="store_true",
-        help="sample tracemalloc peak and RSS at every span boundary "
-             "and store them as span attrs (implies --trace)",
-    )
-    p.add_argument(
         "--profile", action="store_true",
         help="sample the run with the wall-clock stack profiler and "
              "write a speedscope JSON + folded-stack flamegraph input "
@@ -792,9 +776,9 @@ def _obs_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--decisions", action="store_true",
-        help="record decision provenance: winner/runner-up margins, "
-             "switchover-plane distances and lookup paths per plan "
-             "lookup, aggregated into a fragility block in the "
+        help="record decision provenance: winner/runner-up margins "
+             "and switchover-plane distances per plan lookup, "
+             "aggregated into a fragility block in the "
              "manifest plus a deterministic bottom-k sample of full "
              "explain records (identical for any --jobs value)",
     )
@@ -808,18 +792,6 @@ def _obs_flags(p: argparse.ArgumentParser) -> None:
         "--decisions-out", default=None, metavar="PATH",
         help="also export the sampled explain records as JSONL "
              "(implies --decisions)",
-    )
-    p.add_argument(
-        "--timeseries", action="store_true",
-        help="periodically snapshot every metric counter so the "
-             "manifest (and --trace-out) record curves over the run "
-             "instead of one final number",
-    )
-    p.add_argument(
-        "--timeseries-interval", type=float, default=None,
-        metavar="SECONDS",
-        help="metric sampling interval for --timeseries "
-             "(default 0.25s)",
     )
     p.add_argument(
         "--progress", dest="progress", action="store_const",
@@ -837,10 +809,6 @@ def _obs_flags(p: argparse.ArgumentParser) -> None:
         choices=("debug", "info", "warning", "error"),
         help="stderr logging level for the repro loggers "
              "(default warning)",
-    )
-    p.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="also dump the raw metrics snapshot as JSON",
     )
     p.add_argument(
         "--manifest", default="run-manifest.json", metavar="PATH",
@@ -875,8 +843,7 @@ def _resilience_flags(p: argparse.ArgumentParser) -> None:
         "--inject-faults", default=None, metavar="SPEC",
         help="deterministic fault injection, e.g. "
              "'kill:0.2,raise:0.1,hang:0.05,hang=30' "
-             "(KIND:RATE entries; hang=SECONDS bounds hangs; "
-             "falls back to $REPRO_FAULTS)",
+             "(KIND:RATE entries; hang=SECONDS bounds hangs)",
     )
     p.add_argument(
         "--seed", type=int, default=0,
@@ -1256,21 +1223,6 @@ def _serializable_config(args: argparse.Namespace) -> dict[str, Any]:
     return config
 
 
-def _decade_label(key: str) -> str:
-    """``"-3"`` -> ``"1e-3"``; the tie bucket renders as-is."""
-    try:
-        return f"1e{int(key)}"
-    except ValueError:
-        return key
-
-
-def _decade_sort_key(key: str):
-    try:
-        return (1, int(key))
-    except ValueError:
-        return (0, 0)  # "tie" sorts first
-
-
 def _decisions_epilogue(summary: dict) -> str:
     return (
         f"decisions: {summary['probes']} probes observed, "
@@ -1288,26 +1240,15 @@ def _fragility_epilogue(summary: dict) -> "str | None":
     """
     if not summary.get("with_reference"):
         return None
-    merged: dict[str, list[int]] = {}
-    for block in summary.get("contexts", {}).values():
-        for decade, pair in (block.get("decades") or {}).items():
-            bucket = merged.setdefault(decade, [0, 0])
-            bucket[0] += int(pair[0])
-            bucket[1] += int(pair[1])
-    parts = []
-    for decade in sorted(merged, key=_decade_sort_key):
-        total, wrong = merged[decade]
-        if not total:
-            continue
-        parts.append(
-            f"{_decade_label(decade)} {wrong}/{total} "
-            f"({wrong / total:.1%})"
-        )
-    if not parts:
+    by_decade = wrong_choice_by_decade(summary.get("contexts", {}))
+    if not by_decade:
         return None
     return (
         "fragility: wrong-choice fraction by margin decade: "
-        + ", ".join(parts)
+        + ", ".join(
+            f"{label} {wrong}/{total} ({wrong / total:.1%})"
+            for label, total, wrong in by_decade
+        )
     )
 
 
@@ -1317,22 +1258,13 @@ def _finish_run(
     wall_seconds: float,
     cpu_seconds: float,
 ) -> None:
-    """Write the manifest/metrics artefacts and the cache summary."""
+    """Write the manifest and trace artefacts and the cache summary."""
     snapshot = METRICS.snapshot()
-    metrics_out = getattr(args, "metrics_out", None)
-    if metrics_out:
-        with open(metrics_out, "w") as handle:
-            json.dump(snapshot, handle, indent=2, sort_keys=True)
-            handle.write("\n")
     profiling = bool(
         getattr(args, "profile", False)
         or getattr(args, "profile_out", None)
     )
     profile_summary = PROFILER.summary() if profiling else None
-    timeseries_summary = (
-        TIMESERIES.summary()
-        if getattr(args, "timeseries", False) else None
-    )
     decisions_summary = (
         DECISIONS.summary() if DECISIONS.enabled else None
     )
@@ -1348,7 +1280,6 @@ def _finish_run(
             wall_seconds=wall_seconds,
             cpu_seconds=cpu_seconds,
             profile=profile_summary,
-            timeseries=timeseries_summary,
             decisions=decisions_summary,
         )
         write_manifest(manifest, args.manifest)
@@ -1366,10 +1297,6 @@ def _finish_run(
         write_trace_events(
             TRACER.export(),
             trace_out,
-            counter_tracks=(
-                TIMESERIES.counter_tracks()
-                if getattr(args, "timeseries", False) else None
-            ),
             instant_events=(
                 decision_instant_events(DECISIONS.records())
                 if DECISIONS.enabled else None
@@ -1440,39 +1367,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     configure_logging(getattr(args, "log_level", "warning"))
     TRACER.reset()
-    # --trace-out and --memprof need the span tree, so either implies
-    # --trace.
+    # --trace-out needs the span tree, so it implies --trace.
     TRACER.enabled = bool(
         getattr(args, "trace", False)
         or getattr(args, "trace_out", None)
-        or getattr(args, "memprof", False)
     )
-    if getattr(args, "memprof", False):
-        MEMPROF.enable()
-    else:
-        MEMPROF.disable()
     # --profile-out / --profile-hz imply --profile; off means the
     # profiler object stays inert (no sampler thread exists).
     profiling = bool(
         getattr(args, "profile", False)
         or getattr(args, "profile_out", None)
     )
-    try:
-        if profiling:
-            PROFILER.reset()
+    if profiling:
+        PROFILER.reset()
+        try:
             PROFILER.enable(getattr(args, "profile_hz", None))
-        else:
-            PROFILER.disable()
-        if getattr(args, "timeseries", False):
-            TIMESERIES.reset()
-            TIMESERIES.start(
-                getattr(args, "timeseries_interval", None)
-            )
-        else:
-            TIMESERIES.stop()
-            TIMESERIES.reset()
-    except ValueError as exc:
-        _usage_error(str(exc))
+        except ValueError as exc:
+            _usage_error(str(exc))
+    else:
+        PROFILER.disable()
     PROGRESS.configure(
         mode=getattr(args, "progress", "auto"),
         log_level=getattr(args, "log_level", "warning"),
@@ -1505,12 +1418,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = args.func(args, run)
     wall_seconds = time.perf_counter() - wall_start
     cpu_seconds = time.process_time() - cpu_start
-    # Stop the samplers before reading their state so the artefacts
+    # Stop the profiler before reading its state so the artefacts
     # cover exactly the command body.
     if profiling:
         PROFILER.disable()
-    if getattr(args, "timeseries", False):
-        TIMESERIES.stop()
     # serve/loadgen manage their own artefacts (BENCH record, history
     # append) and never write run manifests.
     if args.command not in ("report", "bench", "serve", "loadgen"):

@@ -58,8 +58,10 @@ __all__ = ["RunJournal", "run_key"]
 
 logger = logging.getLogger(__name__)
 
-#: Bump when the journal payload or key material changes shape.
-_FORMAT_VERSION = 1
+#: Bump when the journal payload or key material changes shape.  v2:
+#: journaled decision deltas lost their lookup-path fields, so a v1
+#: journal must not resume into a v2 run's decision records.
+_FORMAT_VERSION = 2
 
 #: Bump when the accumulator-snapshot payload changes shape.
 _SNAPSHOT_VERSION = 1

@@ -80,7 +80,6 @@ from ..obs.faults import (
 )
 from ..obs.decisions import DECISIONS
 from ..obs.logs import configure_logging, configured_log_level
-from ..obs.memprof import MEMPROF
 from ..obs.metrics import METRICS
 from ..obs.profile import PROFILER
 from ..obs.trace import TRACER, span
@@ -174,8 +173,6 @@ def _init_worker(
         # Child process: mirror the parent's observability settings.
         TRACER.reset()
         TRACER.enabled = bool(obs_config.get("trace", False))
-        if obs_config.get("memprof", False) and not MEMPROF.enabled:
-            MEMPROF.enable()
         level = obs_config.get("log_level")
         if level is not None:
             configure_logging(level)
@@ -493,7 +490,6 @@ def _run_pool(
     policy = sched.policy
     obs_config = {
         "trace": TRACER.enabled,
-        "memprof": MEMPROF.enabled,
         "log_level": configured_log_level(),
         "profile_hz": PROFILER.hz if PROFILER.enabled else None,
         "decisions": (

@@ -16,8 +16,6 @@ A zero-dependency instrumentation spine for the experiment pipeline:
   manifest span trees (``--trace-out``, ``report --export-trace``);
 * :mod:`repro.obs.progress` — the TTY-aware live progress meter the
   engine publishes task completions to;
-* :mod:`repro.obs.memprof` — opt-in tracemalloc/RSS sampling at span
-  boundaries (``--memprof``);
 * :mod:`repro.obs.faults` — deterministic fault injection
   (``--inject-faults``), the retry/timeout/on-error policy objects and
   the SIGALRM task deadline the resilient executor runs under;
@@ -26,10 +24,7 @@ A zero-dependency instrumentation spine for the experiment pipeline:
 * :mod:`repro.obs.logs` — stdlib logging wiring for ``--log-level``;
 * :mod:`repro.obs.profile` — the sampling wall-clock profiler behind
   ``--profile`` (folded stacks, speedscope + flamegraph export,
-  mergeable across ``--jobs`` workers);
-* :mod:`repro.obs.timeseries` — periodic metric-registry snapshots
-  (``--timeseries``) rendered as counter tracks in the trace export
-  and a counter-curve summary in the manifest;
+  mergeable across ``--jobs`` workers), the one sampler thread;
 * :mod:`repro.obs.history` — the append-only perf-history store and
   the ``repro bench trend`` multi-run regression gate;
 * :mod:`repro.obs.decisions` — the ``--decisions`` decision-provenance
@@ -108,7 +103,6 @@ from .manifest import (
     validate_manifest,
     write_manifest,
 )
-from .memprof import MEMPROF, MemoryProfiler, rss_kb
 from .metrics import METRICS, Counter, Gauge, Histogram, MetricsRegistry
 from .profile import (
     PROFILER,
@@ -121,11 +115,10 @@ from .profile import (
     write_speedscope,
 )
 from .progress import PROGRESS, ProgressReporter, ProgressTask
-from .report import render_comparison, render_manifest
-from .timeseries import (
-    TIMESERIES,
-    TimeseriesRecorder,
-    counter_track_events,
+from .report import (
+    render_comparison,
+    render_manifest,
+    wrong_choice_by_decade,
 )
 from .trace import TRACER, Span, Tracer, span
 
@@ -135,13 +128,11 @@ __all__ = [
     "FAULT_KINDS",
     "HISTORY_SCHEMA_VERSION",
     "LOG_LEVELS",
-    "MEMPROF",
     "METRICS",
     "ON_ERROR_MODES",
     "PROFILER",
     "PROGRESS",
     "SCHEMA_VERSION",
-    "TIMESERIES",
     "TRACER",
     "BenchComparison",
     "BenchDelta",
@@ -153,7 +144,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "InjectedFault",
-    "MemoryProfiler",
     "MetricsRegistry",
     "ProgressReporter",
     "ProgressTask",
@@ -162,7 +152,6 @@ __all__ = [
     "SeriesTrend",
     "Span",
     "TaskTimeout",
-    "TimeseriesRecorder",
     "Tracer",
     "TrendReport",
     "append_history",
@@ -176,7 +165,6 @@ __all__ = [
     "compare_bench_records",
     "configure_logging",
     "configured_log_level",
-    "counter_track_events",
     "decision_instant_events",
     "default_history_path",
     "detect_trends",
@@ -199,7 +187,6 @@ __all__ = [
     "render_comparison",
     "render_manifest",
     "render_trend_report",
-    "rss_kb",
     "span",
     "span_names",
     "text_digest",
@@ -217,4 +204,5 @@ __all__ = [
     "write_manifest",
     "write_speedscope",
     "write_trace_events",
+    "wrong_choice_by_decade",
 ]

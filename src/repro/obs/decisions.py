@@ -14,7 +14,7 @@ already-materialized totals matrix and the log
 
 * aggregates mergeable fragility statistics per context (margin
   decade-histograms, fraction of probes within ``epsilon`` of a plane,
-  wrong-choice counts vs a reference plan, lookup-path counters), and
+  wrong-choice counts vs a reference plan), and
 * keeps a deterministic bottom-k-by-hash sample of full explain
   records, keyed by ``(task, context, sequence)`` — *values never
   enter the key*, so serial, ``--jobs N``, and checkpoint→resume runs
@@ -62,11 +62,6 @@ DEFAULT_SAMPLE_K = 64
 
 #: Margin-decade bucket for exact ties (margin == 0 has no decade).
 TIE_DECADE = "tie"
-
-#: The lookup path every record and ``paths`` counter names: all
-#: lookups run the dense ``C @ U.T`` + argmin kernel.  Kept in the
-#: records so the manifest and JSONL shapes stay stable.
-LOOKUP_PATH = "dense"
 
 
 # ----------------------------------------------------------------------
@@ -306,7 +301,6 @@ def _export_context(ctx: Mapping[str, Any]) -> dict[str, Any]:
         "wrong": ctx["wrong"],
         "near_plane": ctx["near_plane"],
         "margin": ctx["margin"].state(),
-        "paths": {LOOKUP_PATH: ctx["probes"]},
         "decades": {
             key: list(pair) for key, pair in ctx["decades"].items()
         },
@@ -599,7 +593,6 @@ class DecisionLog:
                 "plane_distance": (
                     distance if np.isfinite(distance) else None
                 ),
-                "path": LOOKUP_PATH,
                 "reference": reference,
                 "wrong": wrong,
             })
@@ -660,9 +653,6 @@ class DecisionLog:
             "wrong": totals["wrong"],
             "near_plane": totals["near_plane"],
             "sampled": len(state["records"]),
-            "paths": (
-                {LOOKUP_PATH: totals["probes"]} if state["contexts"] else {}
-            ),
             "contexts": dict(sorted(state["contexts"].items())),
             "records": state["records"],
         }
@@ -702,7 +692,6 @@ _RECORD_FIELDS: dict[str, tuple] = {
     "runner_up_total": (int, float, type(None)),
     "margin": (int, float, type(None)),
     "plane_distance": (int, float, type(None)),
-    "path": (str,),
     "reference": (int, type(None)),
     "wrong": (bool, type(None)),
 }
@@ -772,7 +761,6 @@ def decision_instant_events(
                 "runner_up": record["runner_up"],
                 "margin": record["margin"],
                 "plane_distance": record["plane_distance"],
-                "path": record["path"],
                 "seq": record["seq"],
             },
         }

@@ -182,27 +182,17 @@ def write_trace_events(
     trace: "Iterable[Mapping[str, Any]] | None",
     path: "str | os.PathLike",
     pid: int = 1,
-    counter_tracks: (
-        "Mapping[str, list[tuple[float, Any]]] | None"
-    ) = None,
     instant_events: (
         "Iterable[Mapping[str, Any]] | None"
     ) = None,
 ) -> Path:
     """Convert a span tree and write the event array as JSON.
 
-    ``counter_tracks`` (from ``--timeseries``, see
-    :meth:`repro.obs.timeseries.TimeseriesRecorder.counter_tracks`)
-    appends one counter track per metric to the same file, so the
-    curves render under the span timeline.  ``instant_events``
-    (ready-made ``ph="i"`` events, e.g. from
+    ``instant_events`` (ready-made ``ph="i"`` events, e.g. from
     :func:`repro.obs.decisions.decision_instant_events`) are appended
     verbatim.
     """
-    from .timeseries import counter_track_events
-
     events = trace_events(trace, pid=pid)
-    events.extend(counter_track_events(counter_tracks, pid=pid))
     if instant_events is not None:
         events.extend(dict(event) for event in instant_events)
     target = Path(path)

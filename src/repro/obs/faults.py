@@ -7,8 +7,8 @@ seeded, fully deterministic fault-injection harness plus the policy
 objects the executor consults when a task goes wrong.
 
 * :class:`FaultPlan` — parsed from a spec string such as
-  ``"kill:0.2,raise:0.1,hang:0.05"`` (CLI ``--inject-faults`` or the
-  ``REPRO_FAULTS`` environment variable).  Every decision is a pure
+  ``"kill:0.2,raise:0.1,hang:0.05"`` (CLI ``--inject-faults``).
+  Every decision is a pure
   function of ``(seed, task_index, attempt)`` — no global RNG is ever
   touched — so a rerun with the same seed injects exactly the same
   faults, and a worker process reaches the same verdict as the parent

@@ -55,12 +55,14 @@ __all__ = [
 #: v2 added the ``tasks`` field (per-task outcome accounting: planned/
 #: completed/resumed/retried counts plus the ``failed[]`` hole list).
 #: v3 added the nullable ``profile`` (``--profile`` sampling summary:
-#: hz, samples, hot-function table) and ``timeseries`` (``--timeseries``
-#: counter-curve summary) fields.
+#: hz, samples, hot-function table) and ``timeseries`` (counter-curve
+#: summary of a since-removed sampler) fields.
 #: v4 added the nullable ``decisions`` field (``--decisions`` fragility
 #: block: margin histograms, near-plane fractions, sampled explain
 #: records).
-SCHEMA_VERSION = 4
+#: v5 dropped ``timeseries``, and the ``paths`` lookup-path counters
+#: from the ``decisions`` block and its contexts.
+SCHEMA_VERSION = 5
 
 #: Top-level manifest schema: field -> allowed instance types.
 _FIELDS: dict[str, tuple] = {
@@ -79,7 +81,6 @@ _FIELDS: dict[str, tuple] = {
     "timing": (dict,),
     "tasks": (dict,),
     "profile": (dict, type(None)),
-    "timeseries": (dict, type(None)),
     "decisions": (dict, type(None)),
 }
 
@@ -88,13 +89,20 @@ _FIELDS: dict[str, tuple] = {
 #: ``repro report`` diff) must treat absence as "older schema", not an
 #: error.
 _FIELDS_ADDED_IN = {
-    3: ("profile", "timeseries"),
+    3: ("profile",),
     4: ("decisions",),
 }
 
+#: Nullable blocks a later version dropped: field -> (version that
+#: added it, version that dropped it).  Receipts in between must still
+#: carry the block; it is accepted as plain data and never read.
+_FIELDS_RETIRED = {
+    "timeseries": (3, 5),
+}
+
 #: Schema versions ``validate_manifest`` accepts (each against its own
-#: field set, so v2/v3 receipts stay readable after the v4 bump).
-SUPPORTED_VERSIONS = tuple(sorted({2, *_FIELDS_ADDED_IN}))
+#: field set, so v2-v4 receipts stay readable after the v5 bump).
+SUPPORTED_VERSIONS = tuple(range(2, SCHEMA_VERSION + 1))
 
 
 def _fields_for_version(version: int) -> dict[str, tuple]:
@@ -103,6 +111,9 @@ def _fields_for_version(version: int) -> dict[str, tuple]:
         if version < added_in:
             for name in names:
                 fields.pop(name, None)
+    for name, (added_in, dropped_in) in _FIELDS_RETIRED.items():
+        if added_in <= version < dropped_in:
+            fields[name] = (dict, type(None))
     return fields
 
 #: ``tasks`` sub-schema (counts plus the failure list).
@@ -172,7 +183,6 @@ def build_manifest(
     cpu_seconds: float = 0.0,
     tasks: "Mapping[str, Any] | None" = None,
     profile: "Mapping[str, Any] | None" = None,
-    timeseries: "Mapping[str, Any] | None" = None,
     decisions: "Mapping[str, Any] | None" = None,
 ) -> dict[str, Any]:
     """Assemble a schema-valid manifest dict for one finished run."""
@@ -200,7 +210,6 @@ def build_manifest(
         },
         "tasks": dict(tasks) if tasks else empty_task_stats(),
         "profile": dict(profile) if profile else None,
-        "timeseries": dict(timeseries) if timeseries else None,
         "decisions": dict(decisions) if decisions else None,
     }
 
@@ -214,7 +223,6 @@ def manifest_from_context(
     wall_seconds: float = 0.0,
     cpu_seconds: float = 0.0,
     profile: "Mapping[str, Any] | None" = None,
-    timeseries: "Mapping[str, Any] | None" = None,
     decisions: "Mapping[str, Any] | None" = None,
 ) -> dict[str, Any]:
     """Assemble a manifest straight from a run context.
@@ -238,7 +246,6 @@ def manifest_from_context(
         cpu_seconds=cpu_seconds,
         tasks=getattr(ctx, "task_stats", None),
         profile=profile,
-        timeseries=timeseries,
         decisions=decisions,
     )
 
@@ -356,12 +363,6 @@ def validate_manifest(data: Any) -> list[str]:
                 errors.append(f"profile.{field} must be an integer")
         if not isinstance(profile.get("top"), list):
             errors.append("profile.top must be a list")
-    timeseries = data.get("timeseries")
-    if isinstance(timeseries, dict):
-        if not isinstance(timeseries.get("samples"), int):
-            errors.append("timeseries.samples must be an integer")
-        if not isinstance(timeseries.get("counters"), dict):
-            errors.append("timeseries.counters must be an object")
     decisions = data.get("decisions")
     if isinstance(decisions, dict):
         for field in ("sample_k", "probes", "near_plane", "sampled"):
@@ -369,9 +370,8 @@ def validate_manifest(data: Any) -> list[str]:
                 errors.append(f"decisions.{field} must be an integer")
         if not isinstance(decisions.get("epsilon"), (int, float)):
             errors.append("decisions.epsilon must be a number")
-        for field in ("paths", "contexts"):
-            if not isinstance(decisions.get(field), dict):
-                errors.append(f"decisions.{field} must be an object")
+        if not isinstance(decisions.get("contexts"), dict):
+            errors.append("decisions.contexts must be an object")
         if not isinstance(decisions.get("records"), list):
             errors.append("decisions.records must be a list")
     return errors

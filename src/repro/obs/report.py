@@ -14,13 +14,13 @@ from typing import Any, Mapping
 
 from .manifest import _FIELDS_ADDED_IN
 
-__all__ = ["render_manifest", "render_comparison"]
+__all__ = [
+    "render_manifest",
+    "render_comparison",
+    "wrong_choice_by_decade",
+]
 
 _INDENT = "  "
-
-#: Span attrs written by ``--memprof``; rendered as table columns, not
-#: inline attributes.
-_MEM_ATTRS = ("mem_rss_kb", "mem_traced_peak_kb", "mem_traced_kb")
 
 
 def _format_attrs(attrs: Mapping[str, Any]) -> str:
@@ -32,45 +32,17 @@ def _format_attrs(attrs: Mapping[str, Any]) -> str:
     return f"  [{parts}]"
 
 
-def _format_kb(value: Any) -> str:
-    if not isinstance(value, (int, float)):
-        return "-"
-    if value >= 1024:
-        return f"{value / 1024:.1f}MB"
-    return f"{value:.0f}KB"
-
-
-def _has_memprof(trace: Any) -> bool:
-    stack = list(trace or ())
-    while stack:
-        node = stack.pop()
-        attrs = node.get("attrs") or {}
-        if any(key in attrs for key in _MEM_ATTRS):
-            return True
-        stack.extend(node.get("children") or ())
-    return False
-
-
 def _span_lines(
-    node: Mapping[str, Any],
-    depth: int,
-    lines: list[str],
-    memprof: bool = False,
+    node: Mapping[str, Any], depth: int, lines: list[str]
 ) -> None:
     label = _INDENT * depth + str(node.get("name", "?"))
-    attrs = dict(node.get("attrs") or {})
-    columns = (
+    lines.append(
         f"{label:<44} {node.get('wall_seconds', 0.0):9.3f}s "
         f"{node.get('cpu_seconds', 0.0):9.3f}s"
+        + _format_attrs(node.get("attrs") or {})
     )
-    if memprof:
-        rss = attrs.pop("mem_rss_kb", None)
-        peak = attrs.pop("mem_traced_peak_kb", None)
-        attrs.pop("mem_traced_kb", None)
-        columns += f" {_format_kb(rss):>9} {_format_kb(peak):>9}"
-    lines.append(columns + _format_attrs(attrs))
     for child in node.get("children") or ():
-        _span_lines(child, depth + 1, lines, memprof)
+        _span_lines(child, depth + 1, lines)
 
 
 def _cache_summary(counters: Mapping[str, Any]) -> "str | None":
@@ -159,14 +131,11 @@ def render_manifest(manifest: Mapping[str, Any]) -> str:
     trace = manifest.get("trace")
     lines.append("")
     if trace:
-        memprof = _has_memprof(trace)
         header = f"{'phase':<44} {'wall':>10} {'cpu':>10}"
-        if memprof:
-            header += f" {'rss':>9} {'py-peak':>9}"
         lines.append(header)
         lines.append("-" * len(header))
         for node in trace:
-            _span_lines(node, 0, lines, memprof)
+            _span_lines(node, 0, lines)
     else:
         lines.append("phases: (no trace recorded — rerun with --trace)")
 
@@ -198,7 +167,6 @@ def render_manifest(manifest: Mapping[str, Any]) -> str:
         lines.append("")
         lines.append(summary)
     _profile_lines(manifest.get("profile"), lines)
-    _timeseries_lines(manifest.get("timeseries"), lines)
     _decisions_lines(manifest.get("decisions"), lines)
     return "\n".join(lines)
 
@@ -230,34 +198,6 @@ def _profile_lines(
         )
 
 
-def _timeseries_lines(
-    timeseries: "Mapping[str, Any] | None", lines: list[str]
-) -> None:
-    """The ``--timeseries`` counter-track summary of a manifest."""
-    if not timeseries:
-        return
-    lines.append("")
-    lines.append(
-        f"timeseries: {timeseries.get('samples', 0)} samples every "
-        f"{timeseries.get('interval_seconds', 0.0):.2f}s over "
-        f"{timeseries.get('duration_seconds', 0.0):.2f}s"
-    )
-    counters = timeseries.get("counters") or {}
-    if not counters:
-        return
-    header = (
-        f"{'counter track':<44} {'first':>10} {'last':>10} "
-        f"{'peak':>10}"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for name, track in sorted(counters.items()):
-        lines.append(
-            f"{name:<44} {track.get('first', 0):>10,} "
-            f"{track.get('last', 0):>10,} {track.get('peak', 0):>10,}"
-        )
-
-
 def _decade_label(key: str) -> str:
     """A decade-bucket key rendered as a magnitude (``"-3"`` → 1e-3)."""
     if key == "tie":
@@ -277,6 +217,33 @@ def _decade_sort_key(key: str) -> "tuple[int, float]":
         return (2, 0.0)
 
 
+def wrong_choice_by_decade(
+    contexts: Mapping[str, Mapping[str, Any]],
+) -> list[tuple[str, int, int]]:
+    """``(decade label, probes, wrong)`` per margin decade, merged over
+    the contexts of a decisions block.
+
+    Each context's ``decades`` maps a decade to ``[probes, wrong]``:
+    the probes whose margin lands in it, and those where the stale
+    reference plan differed from the winner.  The tie bucket comes
+    first, then decades in ascending order; empty decades are left
+    out.
+    """
+    merged: dict[str, list[int]] = {}
+    for ctx in contexts.values():
+        for decade, pair in (ctx.get("decades") or {}).items():
+            bucket = merged.setdefault(decade, [0, 0])
+            bucket[0] += int(pair[0])
+            bucket[1] += int(pair[1])
+    return [
+        (_decade_label(decade), total, wrong)
+        for decade, (total, wrong) in sorted(
+            merged.items(), key=lambda item: _decade_sort_key(item[0])
+        )
+        if total
+    ]
+
+
 def _decisions_lines(
     decisions: "Mapping[str, Any] | None", lines: list[str]
 ) -> None:
@@ -291,14 +258,6 @@ def _decisions_lines(
         f"{decisions.get('near_plane', 0)} within "
         f"{decisions.get('epsilon', 0.0):g} of a switchover plane"
     )
-    paths = decisions.get("paths") or {}
-    if paths:
-        lines.append(
-            _INDENT + "lookup paths: " + ", ".join(
-                f"{path} {count}"
-                for path, count in sorted(paths.items())
-            )
-        )
     contexts = decisions.get("contexts") or {}
     if contexts:
         lines.append("")
@@ -325,25 +284,13 @@ def _decisions_lines(
                 f"{ctx.get('near_plane', 0):>10} {wrong:>12} "
                 f"{mean:>11}"
             )
-    # Wrong-choice fraction by margin decade, merged across contexts
-    # (column 0 counts all probes landing in the decade, column 1 the
-    # ones where the stale reference plan differed from the winner).
-    merged: dict[str, list[int]] = {}
-    for ctx in contexts.values():
-        for decade, pair in (ctx.get("decades") or {}).items():
-            bucket = merged.setdefault(decade, [0, 0])
-            bucket[0] += int(pair[0])
-            bucket[1] += int(pair[1])
-    if any(total for total, _ in merged.values()):
+    by_decade = wrong_choice_by_decade(contexts)
+    if by_decade:
         lines.append("")
         lines.append("wrong-choice fraction by margin decade:")
-        for decade in sorted(merged, key=_decade_sort_key):
-            total, wrong_count = merged[decade]
-            if not total:
-                continue
+        for label, total, wrong_count in by_decade:
             lines.append(
-                f"{_INDENT}{_decade_label(decade):<8} "
-                f"{wrong_count}/{total} "
+                f"{_INDENT}{label:<8} {wrong_count}/{total} "
                 f"({100.0 * wrong_count / total:.1f}%)"
             )
 

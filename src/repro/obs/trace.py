@@ -28,8 +28,6 @@ from __future__ import annotations
 import time
 from typing import Any, Mapping
 
-from .memprof import MEMPROF
-
 __all__ = ["Span", "Tracer", "TRACER", "span"]
 
 
@@ -129,8 +127,6 @@ class _SpanHandle:
         node = self._span
         node.wall_end = time.perf_counter()
         node.cpu_end = time.process_time()
-        if MEMPROF.enabled:
-            node.attrs.update(MEMPROF.sample())
         stack = self._tracer._stack
         if stack and stack[-1] is node:
             stack.pop()

@@ -1,6 +1,6 @@
 import pytest
 
-from repro.obs import DECISIONS, MEMPROF, PROFILER, PROGRESS, TIMESERIES
+from repro.obs import DECISIONS, PROFILER, PROGRESS
 
 
 @pytest.fixture(autouse=True)
@@ -15,11 +15,8 @@ def _isolated_cache(tmp_path, monkeypatch):
 def _reset_obs_globals():
     """CLI runs mutate process-global observability state; restore it."""
     yield
-    MEMPROF.disable()
     PROFILER.disable()
     PROFILER.reset()
-    TIMESERIES.stop()
-    TIMESERIES.reset()
     DECISIONS.disable()
     DECISIONS.reset()
     PROGRESS.configure(mode="auto", log_level="warning", stream=None)

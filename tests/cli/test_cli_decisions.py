@@ -39,17 +39,20 @@ def test_decisions_block_jsonl_and_instant_events(capsys):
     assert block is not None
     assert block["probes"] > 0
     assert block["sampled"] == len(block["records"])
-    assert block["paths"] == {"dense": block["probes"]}
+    assert "paths" not in block
+    assert all("paths" not in ctx for ctx in block["contexts"].values())
     assert "figure:Q14" in block["contexts"]
 
     lines = Path("d.jsonl").read_text().splitlines()
     assert len(lines) == block["sampled"]
     assert validate_decision_records(lines) == []
+    assert all("path" not in json.loads(line) for line in lines)
 
     events = json.loads(Path("t.json").read_text())
     instants = [e for e in events if e.get("ph") == "i"]
     assert len(instants) == block["sampled"]
     assert all(e["name"].startswith("decision:") for e in instants)
+    assert all("path" not in e["args"] for e in instants)
 
 
 def test_without_flag_block_is_null_and_nothing_written(capsys):
@@ -107,7 +110,7 @@ def test_report_diff_notes_block_absent_in_older_schema(capsys):
     Path("new.json").write_text(json.dumps(new))
     old = dict(new)
     old["schema_version"] = 2
-    for field in ("profile", "timeseries", "decisions"):
+    for field in ("profile", "decisions"):
         old.pop(field, None)
     Path("old.json").write_text(json.dumps(old))
     assert main(["report", "new.json", "old.json"]) == 0

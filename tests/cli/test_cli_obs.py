@@ -1,5 +1,5 @@
-"""CLI observability: manifests, metrics dumps, cache summaries, and
-the ``repro report`` renderer."""
+"""CLI observability: manifests, cache summaries, and the ``repro
+report`` renderer."""
 
 import json
 from pathlib import Path
@@ -59,14 +59,6 @@ def test_manifest_path_and_no_manifest_flags(tmp_path):
     assert not target.exists()
 
 
-def test_metrics_out_dumps_snapshot(tmp_path):
-    out = tmp_path / "metrics.json"
-    assert main(FIGURE + ["--metrics-out", str(out)]) == 0
-    snapshot = json.loads(out.read_text())
-    assert set(snapshot) == {"counters", "gauges", "histograms"}
-    assert snapshot["counters"]["figure.queries_total"] == 1
-
-
 def test_cache_summary_on_stderr_not_stdout(capsys):
     main(FIGURE)
     cold = capsys.readouterr()
@@ -110,6 +102,24 @@ def test_report_compares_two_manifests(capsys):
     assert main(["report", "a.json", "b.json"]) == 0
     out = capsys.readouterr().out
     assert "IDENTICAL" in out
+
+
+def test_report_reads_a_v4_receipt(capsys):
+    """A v4 receipt (``timeseries`` block, ``mem_*`` span attrs)
+    renders on its own and diffs against a fresh v5 run."""
+    golden = Path(__file__).parent.parent / "obs" / "golden_manifest.json"
+    old = json.loads(golden.read_text())
+    old["trace"][0]["attrs"]["mem_rss_kb"] = 81380.0
+    Path("v4.json").write_text(json.dumps(old))
+    main(FIGURE + ["--manifest", "v5.json"])
+    capsys.readouterr()
+    assert main(["report", "v4.json"]) == 0
+    out = capsys.readouterr().out
+    assert "schema v4" in out and "mem_rss_kb=81380.0" in out
+    assert main(["report", "v4.json", "v5.json"]) == 0
+    assert "comparing: repro figure vs repro figure" in (
+        capsys.readouterr().out
+    )
 
 
 def test_report_rejects_invalid_manifest(capsys):
@@ -200,24 +210,32 @@ def test_report_export_trace_rejects_two_manifests(capsys):
 
 
 # ----------------------------------------------------------------------
-# Memory profiling (--memprof)
+# Removed samplers (--memprof, --timeseries) and --metrics-out
 # ----------------------------------------------------------------------
-def test_memprof_stamps_spans_and_report_renders_columns(capsys):
-    assert main(FIGURE + ["--memprof"]) == 0
-    trace = _manifest()["trace"]  # --memprof implies --trace
-    root_attrs = trace[0]["attrs"]
-    assert "mem_traced_peak_kb" in root_attrs
-    assert "mem_rss_kb" in root_attrs
-    capsys.readouterr()
-    assert main(["report", "run-manifest.json"]) == 0
-    out = capsys.readouterr().out
-    assert "rss" in out and "py-peak" in out
+@pytest.mark.parametrize("flags", [
+    ["--memprof"],
+    ["--timeseries"],
+    ["--timeseries-interval", "0.1"],
+    ["--metrics-out", "metrics.json"],
+], ids=["memprof", "timeseries", "timeseries-interval", "metrics-out"])
+def test_removed_flags_are_unrecognized(flags, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(FIGURE + flags)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not Path("run-manifest.json").exists()
 
 
 def test_without_memprof_spans_carry_no_memory_attrs(capsys):
     assert main(FIGURE + ["--trace"]) == 0
     trace = _manifest()["trace"]
     assert "mem_traced_peak_kb" not in trace[0]["attrs"]
+
+
+def test_timeseries_off_by_default():
+    """The manifest (schema v5) has no ``timeseries`` field at all."""
+    assert main(FIGURE) == 0
+    assert "timeseries" not in _manifest()
 
 
 # ----------------------------------------------------------------------
@@ -373,39 +391,6 @@ def test_profile_does_not_change_results(capsys):
 def test_profile_rejects_bad_hz():
     with pytest.raises(SystemExit):
         main(FIGURE + ["--profile", "--profile-hz", "0"])
-
-
-# ----------------------------------------------------------------------
-# Metric time series (--timeseries / --timeseries-interval)
-# ----------------------------------------------------------------------
-def test_timeseries_block_and_counter_tracks(capsys):
-    from repro.obs import validate_trace_events
-
-    assert main(FIGURE + [
-        "--timeseries", "--timeseries-interval", "0.01",
-        "--trace-out", "t.json",
-    ]) == 0
-    block = _manifest()["timeseries"]
-    assert block is not None
-    assert block["samples"] > 0
-    assert block["interval_seconds"] == 0.01
-    assert "figure.queries_total" in block["counters"]
-    events = json.loads(Path("t.json").read_text())
-    assert validate_trace_events(events) == []
-    counter_names = {
-        e["name"] for e in events if e.get("ph") == "C"
-    }
-    assert "figure.queries_total" in counter_names
-
-
-def test_timeseries_off_by_default():
-    assert main(FIGURE) == 0
-    assert _manifest()["timeseries"] is None
-
-
-def test_timeseries_rejects_bad_interval():
-    with pytest.raises(SystemExit):
-        main(FIGURE + ["--timeseries", "--timeseries-interval", "0"])
 
 
 # ----------------------------------------------------------------------

@@ -39,12 +39,19 @@ def test_bad_on_task_error_exits_2(capsys):
     assert excinfo.value.code == 2
 
 
-def test_repro_faults_env_fallback(capsys, monkeypatch):
+def test_repro_faults_env_is_ignored(capsys, monkeypatch):
+    """Faults come from ``--inject-faults`` alone: a spec in the
+    ``REPRO_FAULTS`` environment variable, valid or not, changes
+    nothing."""
+    # The same spec and seed as RAISY, which aborts the run when
+    # passed as a flag.
+    monkeypatch.setenv("REPRO_FAULTS", "raise:0.3")
+    assert main(FIGURE + ["--seed", "9"]) == 0
+    counters = _manifest()["metrics"]["counters"]
+    assert "engine.faults_injected" not in counters
     monkeypatch.setenv("REPRO_FAULTS", "bogus:0.5")
-    with pytest.raises(SystemExit) as excinfo:
-        main(FIGURE)
-    assert excinfo.value.code == 2
-    assert "bad fault entry" in capsys.readouterr().err
+    assert main(FIGURE) == 0
+    assert "bad fault entry" not in capsys.readouterr().err
 
 
 def test_injected_fault_aborts_by_default(capsys):

@@ -347,6 +347,20 @@ def test_run_key_is_sensitive_to_configuration():
     )
 
 
+def test_run_key_moves_with_the_journal_format(monkeypatch):
+    """A format-1 journal, whose decision deltas still carried lookup
+    paths, never resumes into a current run: its run id differs."""
+    from repro.experiments import journal
+    from repro.optimizer.config import DEFAULT_PARAMETERS
+
+    current = run_key("figure", "params", DEFAULT_PARAMETERS, "cat", 0)
+    assert journal._FORMAT_VERSION == 2
+    monkeypatch.setattr(journal, "_FORMAT_VERSION", 1)
+    assert current != run_key(
+        "figure", "params", DEFAULT_PARAMETERS, "cat", 0
+    )
+
+
 def test_resume_mismatch_is_rejected(tmp_path, toy_spec):
     ctx = RunContext(
         scale=SCALE, queries={}, resume="not-the-right-id",

@@ -1,6 +1,6 @@
 import pytest
 
-from repro.obs import DECISIONS, METRICS, PROFILER, TIMESERIES, TRACER
+from repro.obs import DECISIONS, METRICS, PROFILER, TRACER
 
 
 @pytest.fixture(autouse=True)
@@ -13,8 +13,6 @@ def _fresh_obs():
         TRACER.enabled = False
         PROFILER.disable()
         PROFILER.reset()
-        TIMESERIES.stop()
-        TIMESERIES.reset()
         DECISIONS.disable()
         DECISIONS.reset()
 

@@ -171,17 +171,3 @@ def test_counter_events_validate_and_reject_malformed():
     ])
     assert any("ts must be a number" in e for e in errors)
     assert any("args" in e for e in errors)
-
-
-def test_write_trace_events_appends_counter_tracks(tmp_path):
-    tracks = {"plancache.hits": [(0.0, 0), (0.5, 4)]}
-    path = write_trace_events(
-        _tree(), tmp_path / "trace.json", counter_tracks=tracks
-    )
-    data = json.loads(path.read_text())
-    assert validate_trace_events(data) == []
-    counters = [e for e in data if e.get("ph") == "C"]
-    assert len(counters) == 2
-    assert {e["name"] for e in counters} == {"plancache.hits"}
-    # Span events still present alongside the counter track.
-    assert event_names(data) >= span_names(_tree())

@@ -12,7 +12,10 @@ from repro.obs import (
     write_manifest,
 )
 
-GOLDEN = Path(__file__).with_name("golden_manifest.json")
+#: The current-schema example.  ``golden_manifest.json`` next to it is
+#: a v4 receipt, kept as written then (``timeseries`` block and all);
+#: ``test_report_edges.py`` reads it to pin read compatibility.
+GOLDEN = Path(__file__).with_name("golden_manifest_v5.json")
 
 
 def _build():
@@ -102,10 +105,19 @@ def test_malformed_tasks_field_is_reported():
     assert "tasks.failed[0].attempts must be an integer" in errors
 
 
+def _as_v4(manifest):
+    """``manifest`` (changed in place) as a v4 receipt, which still
+    had a ``timeseries`` field."""
+    manifest["schema_version"] = 4
+    manifest["timeseries"] = None
+    return manifest
+
+
 def test_profile_and_timeseries_default_to_null():
+    """``profile`` defaults to null; v5 has no ``timeseries`` field."""
     manifest = _build()
     assert manifest["profile"] is None
-    assert manifest["timeseries"] is None
+    assert "timeseries" not in manifest
     assert validate_manifest(manifest) == []
 
 
@@ -119,23 +131,37 @@ def test_profile_and_timeseries_blocks_validate():
             "total_samples": 42, "self_samples": 40,
         }],
     }
-    manifest["timeseries"] = {
+    assert validate_manifest(manifest) == []
+    # A v4 ``timeseries`` block is plain data: any object passes.
+    old = _as_v4(manifest)
+    old["timeseries"] = {
         "interval_seconds": 0.25, "samples": 4,
         "duration_seconds": 1.0,
         "counters": {"a.b": {"first": 0, "last": 2, "peak": 2}},
     }
-    assert validate_manifest(manifest) == []
+    assert validate_manifest(old) == []
 
 
 def test_malformed_profile_and_timeseries_are_reported():
     manifest = _build()
     manifest["profile"] = {"hz": "fast", "top": {}}
-    manifest["timeseries"] = {"samples": 1.5}
     errors = validate_manifest(manifest)
     assert "profile.hz must be an integer" in errors
     assert "profile.top must be a list" in errors
-    assert "timeseries.samples must be an integer" in errors
-    assert "timeseries.counters must be an object" in errors
+    # v5 dropped the field; v3/v4 receipts must carry it.
+    manifest = _build()
+    manifest["timeseries"] = None
+    assert validate_manifest(manifest) == ["unknown field: timeseries"]
+    old = _as_v4(_build())
+    old["timeseries"] = 1.5
+    assert validate_manifest(old) == [
+        "field timeseries: expected dict/NoneType, got float"
+    ]
+    del old["timeseries"]
+    assert validate_manifest(old) == ["missing field: timeseries"]
+    old["schema_version"] = 2
+    del old["profile"], old["decisions"]
+    assert validate_manifest(old) == []
 
 
 def test_future_schema_version_is_rejected():

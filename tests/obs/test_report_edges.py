@@ -1,10 +1,17 @@
-"""Manifest-renderer edge cases: empty metrics, cache-summary corners."""
+"""Manifest-renderer edge cases: empty metrics, cache-summary corners,
+receipts of older schema versions."""
 
+import json
+from pathlib import Path
+
+from repro.obs import validate_manifest
 from repro.obs.report import (
     _cache_summary,
     render_comparison,
     render_manifest,
 )
+
+HERE = Path(__file__).parent
 
 
 def _manifest(metrics=None):
@@ -84,7 +91,6 @@ def _decisions_block():
         "wrong": 3,
         "near_plane": 2,
         "sampled": 4,
-        "paths": {"dense": 10},
         "contexts": {
             "census:Q1": {
                 "probes": 10,
@@ -93,7 +99,6 @@ def _decisions_block():
                 "near_plane": 2,
                 "margin": {"count": 10, "sum": 5.0, "min": 0.0,
                            "max": 2.0},
-                "paths": {"dense": 10},
                 "decades": {"tie": [2, 2], "-1": [8, 1]},
             },
         },
@@ -107,7 +112,7 @@ def test_decisions_block_renders_fragility_table():
     rendered = render_manifest(manifest)
     assert "decisions: 10 probes observed, 4 sampled" in rendered
     assert "2 within 0.001 of a switchover plane" in rendered
-    assert "lookup paths: dense 10" in rendered
+    assert "lookup paths" not in rendered
     assert "fragility by context" in rendered
     assert "census:Q1" in rendered
     assert "3/10" in rendered  # wrong / with_reference
@@ -142,3 +147,37 @@ def test_comparison_notes_blocks_absent_in_older_schema():
     peer = _manifest()
     peer["schema_version"] = 4
     assert "absent in older schema" not in render_comparison(new, peer)
+
+
+def test_v4_receipt_validates_renders_and_diffs_against_v5():
+    """A v4 receipt still reads after the v5 bump.  Its ``timeseries``
+    block and ``paths`` lookup-path counters are ignored, and the
+    ``mem_*`` span attrs of the removed memory sampler render as plain
+    attributes."""
+    old = json.loads((HERE / "golden_manifest.json").read_text())
+    new = json.loads((HERE / "golden_manifest_v5.json").read_text())
+    assert old["schema_version"] == 4 and old["timeseries"]
+    old["trace"][0]["attrs"].update(
+        mem_rss_kb=81380.0, mem_traced_kb=100.0, mem_traced_peak_kb=512.0
+    )
+    old["decisions"] = _decisions_block()
+    old["decisions"]["paths"] = {"dense": 10}
+    old["decisions"]["contexts"]["census:Q1"]["paths"] = {"dense": 10}
+    assert validate_manifest(old) == []
+    assert validate_manifest(new) == []
+
+    rendered = render_manifest(old)
+    assert "schema v4" in rendered
+    assert (
+        "[mem_rss_kb=81380.0, mem_traced_kb=100.0, "
+        "mem_traced_peak_kb=512.0]"
+    ) in rendered
+    assert "py-peak" not in rendered
+    assert "timeseries" not in rendered
+    assert "lookup paths" not in rendered
+    assert "1e-1     1/8 (12.5%)" in rendered
+
+    for first, second in ((old, new), (new, old)):
+        diff = render_comparison(first, second)
+        assert "result digests: IDENTICAL (1 artefacts)" in diff
+        assert "absent in older schema" not in diff

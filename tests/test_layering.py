@@ -164,8 +164,8 @@ def test_obs_package_is_complete_and_bottom_ranked():
     )
     assert modules == [
         "bench", "decisions", "export", "faults", "history", "logs",
-        "manifest", "memprof", "metrics", "profile", "progress",
-        "report", "timeseries", "trace",
+        "manifest", "metrics", "profile", "progress", "report",
+        "trace",
     ]
     assert LAYER_RANK["obs"] == 0
     # No obs module may import another repro layer at all.
@@ -176,3 +176,23 @@ def test_obs_package_is_complete_and_bottom_ranked():
                 f"obs/{path.name} imports {module} — the obs layer "
                 "must stay dependency-free"
             )
+
+
+def test_profiler_is_the_only_thread_starter():
+    """One sampling path: the ``--profile`` sampler is the only thread
+    ``src/repro`` starts itself (worker pools aside), so no other
+    mechanism samples the run behind its back."""
+    starters = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (
+                func.attr if isinstance(func, ast.Attribute)
+                else getattr(func, "id", "")
+            )
+            if name in ("Thread", "Timer", "start_new_thread"):
+                starters.append(path.relative_to(SRC).as_posix())
+    assert starters == ["obs/profile.py"]
